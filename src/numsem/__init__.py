@@ -48,7 +48,6 @@ from .irreducible import (
 )
 from .maxavoid import (
     AvoidanceProblem,
-    check_feasible,
     irreducible_vectors,
     make_problem,
     maximal_avoiding,
@@ -66,7 +65,6 @@ __all__ = [
     "apery",
     "apery_vector",
     "avoids_genset",
-    "check_feasible",
     "check_solution",
     "children",
     "class_minimum",

@@ -129,7 +129,8 @@ def solution_record(elements: tuple[int, ...]) -> dict:
     """
     if elements:
         frob = max(elements)
-        members = [x for x in range(frob + 1) if x not in set(elements)]
+        gaps = set(elements)
+        members = [x for x in range(frob + 1) if x not in gaps]
         comp = NumericalSemigroup.from_small_elements(members, frob)
     else:
         comp = NumericalSemigroup(0, 1)

@@ -22,7 +22,8 @@ n, the least member in that class.  Dropping the zero entry and indexing
 by residue yields a tuple in N^(n-1) that determines the semigroup
 completely; the componentwise max of two such tuples is the tuple of the
 intersection, and the componentwise order reverses inclusion.  Those three
-facts drive the enumeration modules.
+facts make Apery vectors an independent reference for the bitmap
+intersections and inclusion tests that the enumeration modules use.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ valid K may contain them).
 Translation: the complement of such a minimal K is a numerical semigroup
 containing A and avoiding B, and minimality of K corresponds to
 maximality of the complement.  So the solutions are exactly the gap sets
-of the maximal avoiders, which are computed by the Apery-vector pipeline
-in :mod:`numsem.maxavoid`.
+of the maximal avoiders, which are computed by the bitmap pipeline in
+:mod:`numsem.maxavoid`.
 
 The definitional checkers below do not use the translation at all: they
 walk the partitions directly (enumeration delegated to

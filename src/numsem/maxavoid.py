@@ -4,19 +4,25 @@ forbidden set.
 For a single forbidden value b, the maximal avoiders are exactly the
 irreducible semigroups with Frobenius number b containing the required
 set.  For several forbidden values, every avoider is an intersection of
-single-value avoiders, and intersections translate into componentwise
-maxima of Apery vectors taken at the common modulus n = max(forbidden) + 1
-(which exceeds every relevant Frobenius number, so it is a member
-everywhere).  Because the componentwise order on Apery vectors reverses
-inclusion, the maximal avoiders are precisely the semigroups of the
-Pareto-minimal joined vectors.
+single-value avoiders, so the maximal avoiders are the inclusion-maximal
+intersections that take one irreducible per forbidden value.
 
-The join product over the per-value vector families can blow up, so the
-product is streamed one family at a time, keeping only Pareto-minimal
-partial joins: if p <= q componentwise then p joined with any suffix
-stays below q joined with the same suffix, so dropping q loses no minimal
-element.  A hard cap on the nominal product size fails loudly before any
-expansion starts.
+Every family member contains all integers above t = max(forbidden), so
+on the window [0, t] a member is its membership bitmap, intersection is
+bitwise AND and inclusion is a subset test on bitmaps.  A maximal
+avoider misses t and contains everything above it, so its Frobenius
+number is t and its bitmap on [0, t] is its canonical encoding.  The
+same pipeline reads, in Apery-vector space at modulus t + 1, as
+componentwise maxima of vectors followed by a Pareto-minimal filter: the
+componentwise order on Apery vectors reverses inclusion, and the
+componentwise max is the vector of the intersection.
+
+The AND product over the per-value families can blow up, so it is
+streamed one family at a time, keeping only the inclusion-maximal partial
+intersections: if p is a subset of q then p AND e is a subset of q AND e
+for every later choice e, so dropping p loses no maximal element.  A
+hard cap on the nominal product size fails loudly before any expansion
+starts.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .core import (
     contains_genset,
     gap_key,
     normalize_genset,
-    semigroup_from_apery_vector,
+    semigroup_from_apery_vector,  # noqa: F401  bench/tracer.py wraps it in this namespace
 )
 from .irreducible import enumerate_irreducibles
 
@@ -48,16 +54,6 @@ class AvoidanceProblem:
     required: tuple[int, ...]
     forbidden: tuple[int, ...]
     modulus: int
-
-
-def check_feasible(required, forbidden) -> bool:
-    """True when no forbidden value is generated by the required set."""
-    required = normalize_genset(required)
-    forbidden = normalize_genset(forbidden)
-    if not forbidden:
-        return True
-    monoid = Submonoid(required, forbidden[-1])
-    return not any(b in monoid for b in forbidden)
 
 
 def make_problem(required, forbidden) -> AvoidanceProblem:
@@ -108,19 +104,33 @@ def pareto_minimal(vectors) -> list[AperyVector]:
     return [AperyVector(modulus, c) for c in keep]
 
 
+def _inclusion_maximal(masks) -> list[int]:
+    """The distinct bitmaps that no other bitmap in the collection contains.
+
+    A proper superset has strictly more bits, so after a descending sort
+    by bit count every bitmap that could contain m is already kept or
+    itself contained in a kept one; m stays iff no kept k covers it.
+    """
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(m & ~k for k in kept):
+            kept.append(m)
+    return kept
+
+
 def maximal_avoiding(required, forbidden, *, workers: int = 1) -> list[NumericalSemigroup]:
     """All maximal semigroups containing the required set and avoiding the forbidden one.
 
     Raises Infeasible when a forbidden value is generated by the required
     set, and CapacityExceeded when the nominal join product is too large.
     Output is sorted by gap list.  Every returned semigroup is rebuilt
-    from its minimal vector through the round-trip-checked constructor, so
-    a front element outside the vector image cannot slip through.
+    from its bitmap through the closure-checked constructor.
     """
     problem = make_problem(required, forbidden)
+    top = problem.forbidden[-1]
     families = [
         [
-            apery_vector(s, problem.modulus)
+            s.member_mask(top)
             for s in enumerate_irreducibles(problem.required, b, workers=workers)
         ]
         for b in problem.forbidden
@@ -129,16 +139,16 @@ def maximal_avoiding(required, forbidden, *, workers: int = 1) -> list[Numerical
         raise errors.CapacityExceeded(
             f"join product exceeds {MAX_JOIN_PRODUCT} combinations"
         )
-    front = [v.coords for v in families[0]]
+    # Irreducibles sharing a Frobenius number are pairwise incomparable,
+    # so the first family needs no filter.
+    front = families[0]
     for family in families[1:]:
-        joined = {
-            tuple(map(max, p, e.coords)) for p in front for e in family
-        }
-        front = _pareto_minimal_coords(list(joined))
-    front = _pareto_minimal_coords(front)
+        front = _inclusion_maximal(p & e for p in front for e in family)
     result = [
-        semigroup_from_apery_vector(AperyVector(problem.modulus, coords))
-        for coords in front
+        NumericalSemigroup.from_small_elements(
+            [x for x in range(top + 1) if m >> x & 1], top
+        )
+        for m in front
     ]
     for s in result:
         assert contains_genset(s, problem.required), s

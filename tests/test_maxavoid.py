@@ -1,7 +1,11 @@
-"""Maximal avoiders via Apery-vector joins and Pareto-minimal selection."""
+"""Maximal avoiders, and the Apery-vector join and Pareto filter kept as reference."""
+
+import functools
+import itertools
 
 import pytest
 
+import numsem
 from numsem import errors
 from numsem.core import (
     AperyVector,
@@ -15,7 +19,6 @@ from numsem.core import (
 from numsem.irreducible import enumerate_irreducibles
 from numsem.maxavoid import (
     _pareto_minimal_coords,
-    check_feasible,
     irreducible_vectors,
     make_problem,
     maximal_avoiding,
@@ -49,14 +52,24 @@ def brute_maximal_avoiding(required, forbidden):
     )
 
 
-class TestCheckFeasible:
-    def test_examples(self):
-        assert check_feasible([4, 9], [11, 14])
-        assert not check_feasible([4, 9], [13])
-        assert check_feasible([], [1])
+def apery_maximal_avoiding(required, forbidden):
+    """Apery-vector reference from the public API: full join product, Pareto front.
 
-    def test_empty_forbidden_is_vacuously_feasible(self):
-        assert check_feasible([2], [])
+    At modulus max(forbidden) + 1 the componentwise max of Apery vectors is
+    the vector of the intersection and the componentwise order reverses
+    inclusion, so the semigroups of the Pareto-minimal joins are the
+    inclusion-maximal intersections.
+    """
+    modulus = max(forbidden) + 1
+    families = [numsem.irreducible_vectors(required, b, modulus) for b in forbidden]
+    joined = [
+        functools.reduce(numsem.AperyVector.join, combo)
+        for combo in itertools.product(*families)
+    ]
+    return sorted(
+        (numsem.semigroup_from_apery_vector(v) for v in numsem.pareto_minimal(joined)),
+        key=lambda s: s.gaps(),
+    )
 
 
 class TestMakeProblem:
@@ -190,3 +203,35 @@ class TestMaximalAvoiding:
 
     def test_workers_do_not_change_output(self):
         assert maximal_avoiding([], [6, 9], workers=4) == maximal_avoiding([], [6, 9])
+
+    @pytest.mark.parametrize("required", [(), (3,), (4,), (5, 7)])
+    def test_matches_apery_reference(self, required):
+        checked = 0
+        for size in (2, 3):
+            for forbidden in itertools.combinations(range(1, 21), size):
+                try:
+                    expected = apery_maximal_avoiding(required, forbidden)
+                except errors.Infeasible:
+                    with pytest.raises(errors.Infeasible):
+                        maximal_avoiding(required, forbidden)
+                    continue
+                assert maximal_avoiding(required, forbidden) == expected, forbidden
+                checked += 1
+        assert checked > 0
+
+    def test_scale_certificates(self):
+        """B = {41, 43}, far past the brute-force grid, checked in polynomial time."""
+        forbidden = (41, 43)
+        result = maximal_avoiding([], forbidden)
+        assert len(result) == 177
+        for s in result:
+            assert s.frobenius == 43
+            assert avoids_genset(s, forbidden)
+        masks = [s.member_mask() for s in result]
+        for m in masks:
+            for k in masks:
+                assert m == k or m & ~k, "comparable results"
+        for s in result:
+            for g in s.gaps():
+                grown = Submonoid(s.minimal_generators() + (g,), 43)
+                assert any(b in grown for b in forbidden), (s, g)
