@@ -9,11 +9,23 @@ itself and its minimum is
     bottom = <A | {x in S : 2x < F}> | {F+1, ->},
 
 so a class member is exactly a semigroup squeezed between bottom and S.
-The difference set S \\ bottom lives strictly above F/2: call its
-elements removable.  Adding a removable d to bottom drags along its
-closure trace, the removable elements of the form d + (member of bottom);
-the class is precisely {bottom | trace(X) : X a subset of the removable
-set}, with duplicate traces collapsing.
+The difference set D = S \\ bottom lives strictly above F/2: call its
+elements removable.  Order D by d <= e iff e - d is in bottom (a partial
+order, since bottom contains 0 and is closed under addition).  Adding a
+removable d to bottom drags along its closure trace, the principal
+up-set {e in D : d <= e}, and the class is precisely
+{bottom | T : T an up-set of D}.
+
+The up-sets are the unions of principal up-sets, so the family is grown
+one removable at a time: start from the empty trace and, for each d,
+add the union of every trace so far with the trace of d.  The work is
+|D| times the number of traces, not |D| times 2^|D|.  Traces and members
+are bitmaps on [0, F] throughout; each member is still validated by the
+closure-checking mask constructor.
+
+For a fixed F, gap-list order equals ascending order of the member
+bitmap read with bit 0 as its most significant bit, so the members of a
+class, and the union of all classes, are sorted by that integer key.
 
 The union of the classes over all irreducibles yields every semigroup
 with Frobenius number F containing A, each exactly once.
@@ -21,11 +33,10 @@ with Frobenius number F containing A, each exactly once.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import errors
-from .core import NumericalSemigroup, Submonoid, contains_genset, gap_key
+from .core import NumericalSemigroup, Submonoid, contains_genset
 from .irreducible import IrreducibleContext, _expand_levels, make_context
 
 MAX_REMOVABLE = 30
@@ -53,34 +64,34 @@ def class_minimum(s: NumericalSemigroup, ctx: IrreducibleContext) -> NumericalSe
     return NumericalSemigroup(frob, table.member_mask())
 
 
-def _singleton_traces(
-    bottom: NumericalSemigroup, removable: tuple[int, ...]
-) -> dict[int, frozenset[int]]:
-    """trace(d) = {e removable : e - d is in bottom}; d itself always qualifies."""
+def _singleton_traces(bottom: NumericalSemigroup, removable: tuple[int, ...]) -> dict[int, int]:
+    """trace(d) = {e removable : e - d is in bottom} as a bitmap; d itself always qualifies."""
     return {
-        d: frozenset(e for e in removable if (e - d) in bottom)
+        d: sum(1 << e for e in removable if (e - d) in bottom)
         for d in removable
     }
 
 
-def _trace_family(
-    bottom: NumericalSemigroup, removable: tuple[int, ...]
-) -> frozenset[frozenset[int]]:
-    """Distinct unions of singleton traces over all subsets of the removable set."""
+def _trace_family(bottom: NumericalSemigroup, removable: tuple[int, ...]) -> set[int]:
+    """The distinct closure traces, i.e. the up-sets of the removable set, as bitmaps.
+
+    Grown one removable at a time, so the cost is |D| times the size of
+    the family.
+    """
     if len(removable) > MAX_REMOVABLE:
         raise errors.CapacityExceeded(
             f"class expansion is capped at {MAX_REMOVABLE} removable elements,"
             f" got {len(removable)}"
         )
-    singles = _singleton_traces(bottom, removable)
-    family = set()
-    for bits in range(1 << len(removable)):
-        trace: frozenset[int] = frozenset()
-        for i, d in enumerate(removable):
-            if bits >> i & 1:
-                trace |= singles[d]
-        family.add(trace)
-    return frozenset(family)
+    family = {0}
+    for single in _singleton_traces(bottom, removable).values():
+        family |= {t | single for t in family}
+    return family
+
+
+def _bits(mask: int) -> frozenset[int]:
+    """The set of bit positions of a bitmap."""
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
 def closure_trace(values, cls: FrobeniusClass) -> frozenset[int]:
@@ -89,23 +100,36 @@ def closure_trace(values, cls: FrobeniusClass) -> frozenset[int]:
     if not chosen <= frozenset(cls.removable):
         raise errors.NotInD(f"{sorted(chosen - frozenset(cls.removable))} are not removable")
     singles = _singleton_traces(cls.bottom, cls.removable)
-    trace: frozenset[int] = frozenset()
+    trace = 0
     for d in chosen:
         trace |= singles[d]
-    return trace
+    return _bits(trace)
 
 
 def trace_family(cls: FrobeniusClass) -> frozenset[frozenset[int]]:
     """All distinct closure traces of the class."""
-    return _trace_family(cls.bottom, cls.removable)
+    return frozenset(_bits(t) for t in _trace_family(cls.bottom, cls.removable))
+
+
+def _gap_rank(s: NumericalSemigroup) -> int:
+    """Sort key that orders semigroups sharing one Frobenius number by gap list.
+
+    The member bitmap read with bit 0 as the most significant bit: the
+    first position where two members differ is a gap of the one that
+    comes first in gap-list order.  Across different Frobenius numbers it
+    does not agree with core.gap_key.
+    """
+    return int(f"{s.member_mask():0{s.frobenius + 1}b}"[::-1], 2)
 
 
 def frobenius_class(s: NumericalSemigroup, ctx: IrreducibleContext) -> FrobeniusClass:
     """Materialize the class of an irreducible: bottom, removable set, and all members.
 
-    Each member is rebuilt through the validating constructor even though
-    the trace construction guarantees closure; the cheap re-check guards
-    the differential suite against drift.
+    Members are bottom | T for every up-set T of the removable set, built
+    as bitmaps.  Each one goes through the closure-checking mask
+    constructor even though the trace construction guarantees closure;
+    the cheap re-check guards the differential suite against drift.
+    Members are sorted by gap list.
     """
     frob = ctx.frobenius
     bottom = class_minimum(s, ctx)
@@ -114,15 +138,10 @@ def frobenius_class(s: NumericalSemigroup, ctx: IrreducibleContext) -> Frobenius
     assert all(2 * d > frob for d in removable), (s, removable)
     members = []
     for trace in _trace_family(bottom, removable):
-        mask = bottom_mask
-        for d in trace:
-            mask |= 1 << d
-        member = NumericalSemigroup.from_small_elements(
-            [x for x in range(frob + 1) if mask >> x & 1], frob
-        )
+        member = NumericalSemigroup.from_mask(frob, bottom_mask | trace)
         assert contains_genset(member, ctx.required), member
         members.append(member)
-    members.sort(key=gap_key)
+    members.sort(key=_gap_rank)
     assert s in members, "the class must contain its top"
     return FrobeniusClass(s, bottom, removable, tuple(members))
 
@@ -136,16 +155,8 @@ def enumerate_with_frobenius(required, frobenius: int, *, workers: int = 1) -> l
     set.  Output is sorted by gap list.
     """
     ctx = make_context(required, frobenius)
-    tops = _expand_levels(ctx, workers)
-    if workers > 1 and len(tops) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            expanded = list(pool.map(lambda t: frobenius_class(t, ctx), tops))
-    else:
-        expanded = [frobenius_class(t, ctx) for t in tops]
-    union: set[NumericalSemigroup] = set()
-    total = 0
-    for cls in expanded:
-        union.update(cls.members)
-        total += len(cls.members)
-    assert len(union) == total, "classes of distinct irreducibles must be disjoint"
-    return sorted(union, key=gap_key)
+    members = [
+        m for top in _expand_levels(ctx, workers) for m in frobenius_class(top, ctx).members
+    ]
+    assert len(set(members)) == len(members), "classes of distinct irreducibles must be disjoint"
+    return sorted(members, key=_gap_rank)

@@ -129,9 +129,10 @@ def solution_record(elements: tuple[int, ...]) -> dict:
     """
     if elements:
         frob = max(elements)
-        gaps = set(elements)
-        members = [x for x in range(frob + 1) if x not in gaps]
-        comp = NumericalSemigroup.from_small_elements(members, frob)
+        mask = (1 << (frob + 1)) - 1
+        for g in elements:
+            mask &= ~(1 << g)
+        comp = NumericalSemigroup.from_mask(frob, mask)
     else:
         comp = NumericalSemigroup(0, 1)
     record = semigroup_record(comp, kind="solution-set")

@@ -133,9 +133,9 @@ class NumericalSemigroup:
 
     Instances are immutable values: equality and hashing use the canonical
     pair, and every operation returns a fresh instance.  The raw
-    constructor trusts the caller on closure; use :meth:`from_small_elements`
-    for a fully validated build or :meth:`from_generators` to close a
-    generating set with gcd 1.
+    constructor trusts the caller on closure; use :meth:`from_mask` or
+    :meth:`from_small_elements` for a fully validated build or
+    :meth:`from_generators` to close a generating set with gcd 1.
     """
 
     __slots__ = ("frobenius", "_mask", "_msg", "_genus")
@@ -174,17 +174,27 @@ class NumericalSemigroup:
             if m == frobenius and frobenius > 0:
                 raise errors.FrobeniusPresent(frobenius)
             mask |= 1 << m
-        if not mask & 1:
-            raise ValueError("0 must be a member")
+        return cls.from_mask(frobenius, mask)
+
+    @classmethod
+    def from_mask(cls, frobenius: int, mask: int) -> "NumericalSemigroup":
+        """Validated construction from the member bitmap on [0, F].
+
+        Checks what the raw constructor checks, then additive closure.
+        The smaller summand of a violating pair is at most F/2, so the
+        scan stops there; the first violating x, and hence the reported
+        ClosureViolation pair, is the same as for a scan over all of [1, F].
+        """
+        s = cls(frobenius, mask)
         full = (1 << (frobenius + 1)) - 1
-        for x in range(1, frobenius + 1):
+        for x in range(1, frobenius // 2 + 1):
             if not mask >> x & 1:
                 continue
             bad = (mask << x) & full & ~mask
             if bad:
                 y = (bad & -bad).bit_length() - 1 - x
                 raise errors.ClosureViolation(min(x, y), max(x, y))
-        return cls(frobenius, mask)
+        return s
 
     @classmethod
     def from_generators(cls, generators) -> "NumericalSemigroup":

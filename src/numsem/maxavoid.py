@@ -144,12 +144,7 @@ def maximal_avoiding(required, forbidden, *, workers: int = 1) -> list[Numerical
     front = families[0]
     for family in families[1:]:
         front = _inclusion_maximal(p & e for p in front for e in family)
-    result = [
-        NumericalSemigroup.from_small_elements(
-            [x for x in range(top + 1) if m >> x & 1], top
-        )
-        for m in front
-    ]
+    result = [NumericalSemigroup.from_mask(top, m) for m in front]
     for s in result:
         assert contains_genset(s, problem.required), s
         assert avoids_genset(s, problem.forbidden), s

@@ -4,6 +4,7 @@ import pytest
 
 from numsem import errors
 from numsem.classes import (
+    _gap_rank,
     _trace_family,
     class_minimum,
     closure_trace,
@@ -12,10 +13,33 @@ from numsem.classes import (
     trace_family,
 )
 from numsem.core import FULL_SEMIGROUP, NumericalSemigroup, gap_key
-from numsem.irreducible import enumerate_irreducibles, irreducible_closure, make_context
+from numsem.irreducible import (
+    enumerate_irreducibles,
+    irreducible_closure,
+    is_irreducible,
+    make_context,
+)
 from numsem.oracle import all_semigroups_with_frobenius
 
 sg = NumericalSemigroup.from_generators
+
+
+def subset_scan_family(bottom, removable):
+    """Reference: the union of singleton traces over every subset of the removable set."""
+    singles = {d: frozenset(e for e in removable if (e - d) in bottom) for d in removable}
+    family = set()
+    for bits in range(1 << len(removable)):
+        trace = frozenset()
+        for i, d in enumerate(removable):
+            if bits >> i & 1:
+                trace |= singles[d]
+        family.add(trace)
+    return frozenset(family)
+
+
+def is_up_set(trace, bottom, removable):
+    """d in T, e removable and e - d in bottom imply e in T."""
+    return all(e in trace for d in trace for e in removable if (e - d) in bottom)
 
 
 @pytest.fixture
@@ -66,6 +90,43 @@ class TestTraceFamily:
     def test_capacity_guard(self):
         with pytest.raises(errors.CapacityExceeded):
             _trace_family(FULL_SEMIGROUP, tuple(range(100, 131)))
+
+    @pytest.mark.parametrize("required, max_frobenius", [((), 26), ((4,), 60), ((5,), 60)])
+    def test_matches_subset_scan(self, required, max_frobenius):
+        checked = 0
+        for frob in range(1, max_frobenius + 1):
+            try:
+                ctx = make_context(required, frob)
+            except errors.Infeasible:
+                continue
+            for top in enumerate_irreducibles(required, frob):
+                cls = frobenius_class(top, ctx)
+                if len(cls.removable) > 12:
+                    continue
+                family = trace_family(cls)
+                assert family == subset_scan_family(cls.bottom, cls.removable)
+                assert all(is_up_set(t, cls.bottom, cls.removable) for t in family)
+                assert list(cls.members) == sorted(cls.members, key=gap_key)
+                checked += 1
+        assert checked > 100
+
+    def test_scale_class(self):
+        # |D| = 24: the subset scan visits 2^24 subsets for this class.
+        ctx = make_context([11], 59)
+        top = sg([11, 30, 31, 32, 34, 35, 36, 38, 39, 40])
+        assert top.frobenius == 59 and is_irreducible(top)
+        bottom = class_minimum(top, ctx)
+        removable = tuple(x for x in top.small_elements() if x not in bottom)
+        assert len(removable) == 24
+        family = _trace_family(bottom, removable)
+        assert len(family) == 110_592
+        d_mask = sum(1 << d for d in removable)
+        singles = [
+            (1 << d, sum(1 << e for e in removable if (e - d) in bottom)) for d in removable
+        ]
+        for t in family:
+            assert not t & ~d_mask
+            assert all(single & ~t == 0 for bit, single in singles if t & bit)
 
 
 class TestFrobeniusClass:
@@ -141,6 +202,12 @@ class TestEnumerateWithFrobenius:
             floor = (11 + 2) // 2
             assert s.genus >= floor
             assert (s.genus == floor) == (s in tops)
+
+    def test_gap_rank_orders_like_gap_key(self):
+        for frob in range(1, 15):
+            pool = all_semigroups_with_frobenius(frob)
+            assert len({_gap_rank(s) for s in pool}) == len(pool)
+            assert sorted(pool, key=_gap_rank) == sorted(pool, key=gap_key)
 
     def test_workers_do_not_change_output(self):
         assert enumerate_with_frobenius([], 11, workers=4) == enumerate_with_frobenius([], 11)

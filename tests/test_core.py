@@ -193,6 +193,40 @@ class TestNumericalSemigroup:
         with pytest.raises(ValueError):
             NumericalSemigroup.from_small_elements({4}, 11)
 
+    def test_from_mask_accepts_exactly_the_closed_bitmaps(self):
+        def first_violation(mask, frob):
+            # Reference closure scan over the full window [1, F].
+            full = (1 << (frob + 1)) - 1
+            for x in range(1, frob + 1):
+                if mask >> x & 1:
+                    bad = (mask << x) & full & ~mask
+                    if bad:
+                        y = (bad & -bad).bit_length() - 1 - x
+                        return min(x, y), max(x, y)
+            return None
+
+        assert NumericalSemigroup.from_mask(0, 1) == FULL_SEMIGROUP
+        for frob in range(1, 11):
+            accepted = []
+            for mask in range(1, 1 << frob, 2):
+                pair = first_violation(mask, frob)
+                if pair is None:
+                    accepted.append(NumericalSemigroup.from_mask(frob, mask))
+                    assert accepted[-1].member_mask() == mask
+                else:
+                    with pytest.raises(errors.ClosureViolation) as info:
+                        NumericalSemigroup.from_mask(frob, mask)
+                    assert (info.value.x, info.value.y) == pair
+            assert set(accepted) == set(all_semigroups_with_frobenius(frob))
+
+    def test_from_mask_rejects_malformed_bitmaps(self):
+        with pytest.raises(ValueError):
+            NumericalSemigroup.from_mask(11, 1 << 4)
+        with pytest.raises(errors.FrobeniusPresent):
+            NumericalSemigroup.from_mask(4, 1 | 1 << 4)
+        with pytest.raises(ValueError):
+            NumericalSemigroup.from_mask(4, 1 | 1 << 5)
+
     def test_exchange_validates_positions(self):
         s = sg([4, 6, 9])
         assert s.exchange(6, 5) == sg([4, 5])
