@@ -25,7 +25,8 @@ closure-checking mask constructor.
 
 For a fixed F, gap-list order equals ascending order of the member
 bitmap read with bit 0 as its most significant bit, so the members of a
-class, and the union of all classes, are sorted by that integer key.
+class are sorted by that integer key.  The classes come in the gap order
+of their tops, and that concatenation is already in gap order.
 
 The union of the classes over all irreducibles yields every semigroup
 with Frobenius number F containing A, each exactly once.
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors
-from .core import NumericalSemigroup, Submonoid, contains_genset
+from .core import NumericalSemigroup, Submonoid, _bit_positions, contains_genset, gap_rank
 from .irreducible import IrreducibleContext, _expand_levels, make_context
 
 MAX_REMOVABLE = 30
@@ -89,11 +90,6 @@ def _trace_family(bottom: NumericalSemigroup, removable: tuple[int, ...]) -> set
     return family
 
 
-def _bits(mask: int) -> frozenset[int]:
-    """The set of bit positions of a bitmap."""
-    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
-
-
 def closure_trace(values, cls: FrobeniusClass) -> frozenset[int]:
     """The removable elements dragged in when the given removables join the bottom."""
     chosen = frozenset(values)
@@ -103,23 +99,13 @@ def closure_trace(values, cls: FrobeniusClass) -> frozenset[int]:
     trace = 0
     for d in chosen:
         trace |= singles[d]
-    return _bits(trace)
+    return frozenset(_bit_positions(trace))
 
 
 def trace_family(cls: FrobeniusClass) -> frozenset[frozenset[int]]:
     """All distinct closure traces of the class."""
-    return frozenset(_bits(t) for t in _trace_family(cls.bottom, cls.removable))
-
-
-def _gap_rank(s: NumericalSemigroup) -> int:
-    """Sort key that orders semigroups sharing one Frobenius number by gap list.
-
-    The member bitmap read with bit 0 as the most significant bit: the
-    first position where two members differ is a gap of the one that
-    comes first in gap-list order.  Across different Frobenius numbers it
-    does not agree with core.gap_key.
-    """
-    return int(f"{s.member_mask():0{s.frobenius + 1}b}"[::-1], 2)
+    traces = _trace_family(cls.bottom, cls.removable)
+    return frozenset(frozenset(_bit_positions(t)) for t in traces)
 
 
 def frobenius_class(s: NumericalSemigroup, ctx: IrreducibleContext) -> FrobeniusClass:
@@ -134,14 +120,14 @@ def frobenius_class(s: NumericalSemigroup, ctx: IrreducibleContext) -> Frobenius
     frob = ctx.frobenius
     bottom = class_minimum(s, ctx)
     bottom_mask = bottom.member_mask()
-    removable = tuple(x for x in s.small_elements() if not bottom_mask >> x & 1)
+    removable = tuple(_bit_positions(s.member_mask() & ~bottom_mask))
     assert all(2 * d > frob for d in removable), (s, removable)
     members = []
     for trace in _trace_family(bottom, removable):
         member = NumericalSemigroup.from_mask(frob, bottom_mask | trace)
         assert contains_genset(member, ctx.required), member
         members.append(member)
-    members.sort(key=_gap_rank)
+    members.sort(key=gap_rank)
     assert s in members, "the class must contain its top"
     return FrobeniusClass(s, bottom, removable, tuple(members))
 
@@ -152,11 +138,15 @@ def enumerate_with_frobenius(required, frobenius: int, *, workers: int = 1) -> l
     Enumerates the irreducibles, expands each class, and concatenates.
     Classes of distinct irreducibles are provably disjoint; the merge
     asserts it.  Raises Infeasible when F is generated by the required
-    set.  Output is sorted by gap list.
+    set.  ``workers`` is accepted as a worker-budget hint and has no
+    effect.  Output is sorted by gap list with no final sort: a member
+    agrees with its class top below F/2, distinct irreducibles with one F
+    already differ below F/2, and the tree walk returns the tops in gap
+    order.
     """
     ctx = make_context(required, frobenius)
     members = [
-        m for top in _expand_levels(ctx, workers) for m in frobenius_class(top, ctx).members
+        m for top in _expand_levels(ctx) for m in frobenius_class(top, ctx).members
     ]
     assert len(set(members)) == len(members), "classes of distinct irreducibles must be disjoint"
-    return sorted(members, key=_gap_rank)
+    return members

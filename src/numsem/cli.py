@@ -12,8 +12,9 @@ Results stream to stdout, one record per line; diagnostics go to stderr.
 Text records look like ``<4,6,9> | F=11 g=6 gaps={1,2,3,5,7,11}``; JSON
 mode emits newline-delimited objects with keys in the fixed order
 (kind, msg, frobenius, genus, gaps, elements), null where a field does
-not apply.  Output is byte-identical across runs for identical inputs,
-including with ``--parallel``.
+not apply.  Output is byte-identical across runs for identical inputs.
+``--parallel N`` is a worker-budget hint: N must be a positive integer,
+and every run is single-threaded whatever its value.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible input (the diagnostic
 names a witness combination), 3 capacity error.
@@ -221,28 +222,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> list[dict]:
     required = _parse_intlist(getattr(args, "A", ""), "-A")
-    workers = args.parallel
 
     if args.command == "irreducibles":
         _check_caps(args.F, None)
-        semis = enumerate_irreducibles(required, args.F, workers=workers)
+        semis = enumerate_irreducibles(required, args.F)
         return [semigroup_record(s) for s in semis]
 
     if args.command == "semigroups":
         _check_caps(args.F, None)
-        semis = enumerate_with_frobenius(required, args.F, workers=workers)
+        semis = enumerate_with_frobenius(required, args.F)
         return [semigroup_record(s) for s in semis]
 
     if args.command == "maximal":
         forbidden = _parse_intlist(args.B, "-B")
         _check_caps(None, forbidden)
-        semis = maximal_avoiding(required, forbidden, workers=workers)
+        semis = maximal_avoiding(required, forbidden)
         return [semigroup_record(s) for s in semis]
 
     if args.command == "solve":
         forbidden = _parse_intlist(args.B, "-B")
         _check_caps(None, forbidden)
-        return [solution_record(c) for c in solve(required, forbidden, workers=workers)]
+        return [solution_record(c) for c in solve(required, forbidden)]
 
     if args.command == "oracle":
         if args.oracle_command == "semigroups":

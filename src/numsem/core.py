@@ -46,6 +46,14 @@ def normalize_genset(raw) -> tuple[int, ...]:
     return tuple(v for v in values if v > 0)
 
 
+def _bit_positions(mask: int):
+    """Positions of the set bits of a non-negative bitmap, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Submonoid:
     """Membership table on [0, bound] for the monoid generated by a finite set.
 
@@ -96,7 +104,7 @@ class Submonoid:
 
     def elements(self) -> tuple[int, ...]:
         """All members up to the bound, ascending."""
-        return tuple(x for x in range(self.bound + 1) if self._mask >> x & 1)
+        return tuple(_bit_positions(self._mask))
 
     def decompose(self, x: int) -> list[tuple[int, int]] | None:
         """One representation of x as ``sum(coeff * gen)``, or None if x is not a member.
@@ -221,9 +229,7 @@ class NumericalSemigroup:
             if mask & run == run:
                 break
             bound *= 2
-        frob = bound
-        while mask >> frob & 1:
-            frob -= 1
+        frob = (~mask & ((1 << (bound + 1)) - 1)).bit_length() - 1  # the largest gap
         return cls(frob, mask & ((1 << (frob + 1)) - 1))
 
     def __contains__(self, x: int) -> bool:
@@ -261,11 +267,11 @@ class NumericalSemigroup:
 
     def small_elements(self) -> tuple[int, ...]:
         """Members in [0, F], ascending."""
-        return tuple(x for x in range(self.frobenius + 1) if self._mask >> x & 1)
+        return tuple(_bit_positions(self._mask))
 
     def gaps(self) -> tuple[int, ...]:
         """The complement N \\ S, ascending.  Empty exactly for the full semigroup."""
-        return tuple(x for x in range(1, self.frobenius + 1) if not self._mask >> x & 1)
+        return tuple(_bit_positions(~self._mask & ((1 << (self.frobenius + 1)) - 1)))
 
     @property
     def genus(self) -> int:
@@ -278,21 +284,22 @@ class NumericalSemigroup:
         """The unique minimal system of generators.
 
         Computed as the nonzero members that are not a sum of two nonzero
-        members.  No minimal generator exceeds 2F + 1: any x > 2F + 1
-        splits as (x - F - 1) + (F + 1) with both parts members, so the
-        scan window [1, 2F + 2] is exhaustive.  The result is cached;
-        recomputation is idempotent, so concurrent calls are harmless.
+        members.  Every minimal generator is the multiplicity m or lies in
+        the Apery set of m, whose elements are at most F + m: any member
+        x > F + m splits as m + (x - m) with x - m > F a member.  So the
+        window [1, F + m] is exhaustive, and the smaller summand of any sum
+        inside it is at most (F + m)/2.  The full semigroup gives (1,).
+        The result is cached.
         """
         if self._msg is None:
-            window = 2 * self.frobenius + 2
-            mask = self.member_mask(window)
+            # F + m, where m, the least nonzero member, is at most F + 1.
+            nonzero = self.member_mask(self.frobenius + 1) & ~1
+            window = self.frobenius + (nonzero & -nonzero).bit_length() - 1
+            members = self.member_mask(window) & ~1
             sums = 0
-            for x in range(1, window + 1):
-                if mask >> x & 1:
-                    sums |= (mask & ~1) << x
-            self._msg = tuple(
-                x for x in range(1, window + 1) if mask >> x & 1 and not sums >> x & 1
-            )
+            for x in _bit_positions(members & ((2 << (window // 2)) - 1)):
+                sums |= members << x
+            self._msg = tuple(_bit_positions(members & ~sums))
         return self._msg
 
     def issubset(self, other: "NumericalSemigroup") -> bool:
@@ -419,12 +426,8 @@ def semigroup_from_apery_vector(v: AperyVector) -> NumericalSemigroup:
     bound = max(max(v.coords), n)
     table = Submonoid(v.coords + (n,), bound)
     mask = table.member_mask()
-    frob = 0
-    for x in range(bound, 0, -1):
-        if not mask >> x & 1:
-            frob = x
-            break
-    if frob == 0:
+    frob = (~mask & ((1 << (bound + 1)) - 1)).bit_length() - 1  # the largest gap, or -1
+    if frob < 1:
         result = FULL_SEMIGROUP
     else:
         result = NumericalSemigroup(frob, mask & ((1 << (frob + 1)) - 1))
@@ -459,3 +462,14 @@ def gap_key(s: NumericalSemigroup) -> tuple[int, ...]:
     enumeration in this package emits its results sorted by it.
     """
     return s.gaps()
+
+
+def gap_rank(s: NumericalSemigroup) -> int:
+    """Integer sort key that orders semigroups sharing one Frobenius number by gap list.
+
+    The member bitmap read with bit 0 as the most significant bit: the
+    first position where two members differ is a gap of the one that
+    comes first in gap-list order.  Across different Frobenius numbers it
+    does not agree with gap_key.
+    """
+    return int(f"{s._mask:0{s.frobenius + 1}b}"[::-1], 2)

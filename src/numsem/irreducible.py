@@ -27,11 +27,10 @@ F/2 < x < F and x not in A:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import errors
-from .core import NumericalSemigroup, Submonoid, gap_key, normalize_genset
+from .core import NumericalSemigroup, Submonoid, gap_rank, normalize_genset
 
 
 @dataclass(frozen=True)
@@ -151,37 +150,29 @@ def children(s: NumericalSemigroup, ctx: IrreducibleContext) -> list[NumericalSe
     return out
 
 
-def _expand_levels(ctx: IrreducibleContext, workers: int) -> list[NumericalSemigroup]:
-    """Breadth-first walk of the tree; levels may expand in parallel.
+def _expand_levels(ctx: IrreducibleContext) -> list[NumericalSemigroup]:
+    """Breadth-first walk of the tree, one level after the other; sorted by gap list.
 
-    ThreadPoolExecutor.map preserves input order, so the visit order and
-    the final sorted output are independent of the worker count.
+    All nodes share the Frobenius number F, so gap-list order is the
+    ascending order of the integer key core.gap_rank.
     """
     seen = {ctx.root}
     frontier = [ctx.root]
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            if pool is not None and len(frontier) > 1:
-                batches = list(pool.map(lambda s: children(s, ctx), frontier))
-            else:
-                batches = [children(s, ctx) for s in frontier]
-            frontier = []
-            for batch in batches:
-                for child in batch:
-                    assert child not in seen, f"tree produced {child} twice"
-                    seen.add(child)
-                    frontier.append(child)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return sorted(seen, key=gap_key)
+    while frontier:
+        level, frontier = frontier, []
+        for s in level:
+            for child in children(s, ctx):
+                assert child not in seen, f"tree produced {child} twice"
+                seen.add(child)
+                frontier.append(child)
+    return sorted(seen, key=gap_rank)
 
 
 def enumerate_irreducibles(required, frobenius: int, *, workers: int = 1) -> list[NumericalSemigroup]:
     """Every irreducible semigroup with Frobenius number F containing the required set.
 
     Raises Infeasible when F itself is generated by the required set.
-    Output is sorted by gap list.
+    Output is sorted by gap list.  ``workers`` is accepted as a
+    worker-budget hint and has no effect: the walk runs in one thread.
     """
-    return _expand_levels(make_context(required, frobenius), workers)
+    return _expand_levels(make_context(required, frobenius))

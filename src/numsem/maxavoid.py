@@ -124,14 +124,15 @@ def maximal_avoiding(required, forbidden, *, workers: int = 1) -> list[Numerical
     Raises Infeasible when a forbidden value is generated by the required
     set, and CapacityExceeded when the nominal join product is too large.
     Output is sorted by gap list.  Every returned semigroup is rebuilt
-    from its bitmap through the closure-checked constructor.
+    from its bitmap through the closure-checked constructor.  ``workers``
+    is accepted as a worker-budget hint and has no effect.
     """
     problem = make_problem(required, forbidden)
     top = problem.forbidden[-1]
     families = [
         [
             s.member_mask(top)
-            for s in enumerate_irreducibles(problem.required, b, workers=workers)
+            for s in enumerate_irreducibles(problem.required, b)
         ]
         for b in problem.forbidden
     ]

@@ -4,7 +4,6 @@ import pytest
 
 from numsem import errors
 from numsem.classes import (
-    _gap_rank,
     _trace_family,
     class_minimum,
     closure_trace,
@@ -12,7 +11,7 @@ from numsem.classes import (
     frobenius_class,
     trace_family,
 )
-from numsem.core import FULL_SEMIGROUP, NumericalSemigroup, gap_key
+from numsem.core import FULL_SEMIGROUP, NumericalSemigroup, gap_key, gap_rank
 from numsem.irreducible import (
     enumerate_irreducibles,
     irreducible_closure,
@@ -206,11 +205,22 @@ class TestEnumerateWithFrobenius:
     def test_gap_rank_orders_like_gap_key(self):
         for frob in range(1, 15):
             pool = all_semigroups_with_frobenius(frob)
-            assert len({_gap_rank(s) for s in pool}) == len(pool)
-            assert sorted(pool, key=_gap_rank) == sorted(pool, key=gap_key)
+            assert len({gap_rank(s) for s in pool}) == len(pool)
+            assert sorted(pool, key=gap_rank) == sorted(pool, key=gap_key)
 
     def test_workers_do_not_change_output(self):
         assert enumerate_with_frobenius([], 11, workers=4) == enumerate_with_frobenius([], 11)
+
+    @pytest.mark.parametrize("required", [(), (4,), (5,), (5, 7)])
+    def test_output_strictly_increasing_in_gap_key(self, required):
+        top = 25 if not required else 60
+        for frob in range(1, top + 1):
+            try:
+                result = enumerate_with_frobenius(required, frob)
+            except errors.Infeasible:
+                continue
+            keys = [gap_key(s) for s in result]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (required, frob)
 
     def test_matches_oracle_on_sample(self):
         for required, frob in [((), 7), ((2,), 9), ((4,), 10), ((3, 5), 7)]:

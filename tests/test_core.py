@@ -19,6 +19,7 @@ from numsem.core import (
     normalize_genset,
     semigroup_from_apery_vector,
 )
+from numsem.irreducible import enumerate_irreducibles
 from numsem.oracle import all_semigroups_with_frobenius
 
 sg = NumericalSemigroup.from_generators
@@ -39,6 +40,22 @@ def combination_members(gens, bound):
 
     rec(0, 0)
     return members
+
+
+def full_window_minimal_generators(s):
+    """Reference: nonzero members of [1, 2F + 2] that are no sum of two nonzero members."""
+    window = 2 * s.frobenius + 2
+    mask = s.member_mask(window)
+    sums = 0
+    for x in range(1, window + 1):
+        if mask >> x & 1:
+            sums |= (mask & ~1) << x
+    return tuple(x for x in range(1, window + 1) if mask >> x & 1 and not sums >> x & 1)
+
+
+def uncached(s):
+    """The same semigroup with nothing cached."""
+    return NumericalSemigroup(s.frobenius, s.member_mask())
 
 
 class TestNormalize:
@@ -175,6 +192,38 @@ class TestNumericalSemigroup:
     def test_minimal_generators(self):
         assert sg([4, 6, 9]).minimal_generators() == (4, 6, 9)
         assert sg([4, 13, 14, 15]).minimal_generators() == (4, 13, 14, 15)
+
+    def test_minimal_generators_match_full_window_on_oracle(self):
+        for frob in range(1, 15):
+            for s in all_semigroups_with_frobenius(frob):
+                assert uncached(s).minimal_generators() == full_window_minimal_generators(s)
+
+    @pytest.mark.parametrize("required", [(), (7,), (9, 11)])
+    def test_minimal_generators_match_full_window_on_irreducibles(self, required):
+        for frob in range(1, 61):
+            try:
+                family = enumerate_irreducibles(required, frob)
+            except errors.Infeasible:
+                continue
+            for s in family:
+                assert uncached(s).minimal_generators() == full_window_minimal_generators(s)
+
+    def test_minimal_generators_at_the_window_edge(self):
+        # <F+1, ..., 2F+1>: the multiplicity is F + 1 and the largest
+        # generator is exactly F + m.
+        for frob in range(1, 40):
+            s = NumericalSemigroup(frob, 1)
+            expected = tuple(range(frob + 1, 2 * frob + 2))
+            assert s.minimal_generators() == expected == full_window_minimal_generators(s)
+        assert uncached(FULL_SEMIGROUP).minimal_generators() == (1,)
+        assert full_window_minimal_generators(FULL_SEMIGROUP) == (1,)
+
+    def test_gaps_and_small_elements_match_the_definition(self):
+        for frob in range(0, 13):
+            pool = all_semigroups_with_frobenius(frob) if frob else [FULL_SEMIGROUP]
+            for s in pool:
+                assert s.gaps() == tuple(x for x in range(1, frob + 1) if x not in s)
+                assert s.small_elements() == tuple(x for x in range(frob + 1) if x in s)
 
     def test_from_small_elements_validates_closure(self):
         with pytest.raises(errors.ClosureViolation) as info:

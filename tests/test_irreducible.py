@@ -179,6 +179,11 @@ class TestEnumerate:
     def test_workers_do_not_change_output(self):
         assert enumerate_irreducibles([], 13, workers=4) == enumerate_irreducibles([], 13)
 
+    def test_count_at_scale(self):
+        result = enumerate_irreducibles([], 61)
+        assert len(result) == 5602
+        assert all(a.gaps() < b.gaps() for a, b in zip(result, result[1:]))
+
     def test_matches_bruteforce_on_sample(self):
         samples = [((), 6), ((), 11), ((3,), 7), ((4,), 11), ((2, 7), 5), ((5,), 12)]
         for required, frob in samples:
