@@ -8,13 +8,21 @@ Subcommands cover every pipeline stage:
   solve         -A <ints> -B <ints>  minimal partition hitting sets
   oracle <sub>                       brute-force cross-checks
 
-Results stream to stdout, one record per line; diagnostics go to stderr.
+Results go to stdout, one record per line; diagnostics go to stderr.
 Text records look like ``<4,6,9> | F=11 g=6 gaps={1,2,3,5,7,11}``; JSON
 mode emits newline-delimited objects with keys in the fixed order
 (kind, msg, frobenius, genus, gaps, elements), null where a field does
 not apply.  Output is byte-identical across runs for identical inputs.
 ``--parallel N`` is a worker-budget hint: N must be a positive integer,
 and every run is single-threaded whatever its value.
+
+The argument parser is built once per process, on the first :func:`run`
+call, and reused by every later call.  Each result is rendered as it is
+written: a text line is read straight off the semigroup's member bitmap
+and its cached minimal generators, and equals ``format_text`` of the
+record dict that JSON mode dumps.  ``--limit K`` renders and writes only
+K records, but the enumeration still runs to the end, since the stderr
+note reports the total.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible input (the diagnostic
 names a witness combination), 3 capacity error.
@@ -26,12 +34,14 @@ internally it is encoded as 0 with no gaps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from itertools import compress
 
 from . import errors, oracle
 from .classes import enumerate_with_frobenius
-from .core import AperyVector, NumericalSemigroup
+from .core import NumericalSemigroup
 from .frontier import solve
 from .irreducible import enumerate_irreducibles
 from .maxavoid import maximal_avoiding
@@ -50,7 +60,7 @@ RECORD_KEYS = ("kind", "msg", "frobenius", "genus", "gaps", "elements")
 RECORD_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["semigroup", "solution-set", "apery-vector", "partition"]},
+        "kind": {"enum": ["semigroup", "solution-set", "partition"]},
         "msg": {"type": ["array", "null"], "items": {"type": "integer"}},
         "frobenius": {"type": ["integer", "null"]},
         "genus": {"type": ["integer", "null"]},
@@ -122,34 +132,26 @@ def semigroup_record(s: NumericalSemigroup, kind: str = "semigroup") -> dict:
     }
 
 
+def _complement(elements: tuple[int, ...]) -> NumericalSemigroup:
+    """The numerical semigroup whose gap set is ``elements``, validated by from_mask."""
+    if not elements:
+        return NumericalSemigroup(0, 1)
+    frob = max(elements)
+    mask = (1 << (frob + 1)) - 1
+    for g in elements:
+        mask &= ~(1 << g)
+    return NumericalSemigroup.from_mask(frob, mask)
+
+
 def solution_record(elements: tuple[int, ...]) -> dict:
     """A solution set, annotated with its complement semigroup.
 
     The complement of a solution set is always a numerical semigroup, so
     msg/frobenius/genus/gaps describe it and gaps equals elements.
     """
-    if elements:
-        frob = max(elements)
-        mask = (1 << (frob + 1)) - 1
-        for g in elements:
-            mask &= ~(1 << g)
-        comp = NumericalSemigroup.from_mask(frob, mask)
-    else:
-        comp = NumericalSemigroup(0, 1)
-    record = semigroup_record(comp, kind="solution-set")
+    record = semigroup_record(_complement(elements), kind="solution-set")
     record["elements"] = list(elements)
     return record
-
-
-def apery_record(v: AperyVector) -> dict:
-    return {
-        "kind": "apery-vector",
-        "msg": None,
-        "frobenius": None,
-        "genus": None,
-        "gaps": None,
-        "elements": list(v.coords),
-    }
 
 
 def partition_record(p: tuple[int, ...]) -> dict:
@@ -164,9 +166,6 @@ def partition_record(p: tuple[int, ...]) -> dict:
 
 
 def format_text(record: dict) -> str:
-    if record["kind"] == "apery-vector":
-        coords = ",".join(str(c) for c in record["elements"])
-        return f"({coords}) | n={len(record['elements']) + 1}"
     if record["kind"] == "partition":
         return "+".join(str(x) for x in record["elements"])
     msg = ",".join(str(g) for g in record["msg"])
@@ -174,7 +173,52 @@ def format_text(record: dict) -> str:
     return f"<{msg}> | F={record['frobenius']} g={record['genus']} gaps={{{gaps}}}"
 
 
+# str(i) for every number a semigroup line can hold: gaps are at most F,
+# and minimal generators at most F + m <= 2F + 1.
+_NUMERALS = [str(i) for i in range(2 * max(MAX_FROBENIUS_INPUT, MAX_FORBIDDEN_INPUT) + 2)]
+# Turns the binary digits of a member bitmap into 1 at a gap and 0 at a member.
+_GAP_FLAGS = bytes.maketrans(b"01", b"\1\0")
+
+
+def _semigroup_line(s: NumericalSemigroup) -> str:
+    """``format_text(semigroup_record(s))``, read off the member bitmap."""
+    frob = s.frobenius
+    assert 2 * frob + 1 < len(_NUMERALS), frob
+    # Character i of the reversed binary string is bit i of the mask.
+    flags = f"{s.member_mask():0{frob + 1}b}"[::-1].encode().translate(_GAP_FLAGS)
+    msg = ",".join(map(_NUMERALS.__getitem__, s.minimal_generators()))
+    gaps = ",".join(compress(_NUMERALS, flags))
+    return f"<{msg}> | F={frobenius_display(s)} g={s.genus} gaps={{{gaps}}}"
+
+
+# The line of one result, by output format and result kind.  Record
+# builders are looked up at call time, so wrappers installed on them apply.
+_RENDER = {
+    "text": {
+        "semigroup": _semigroup_line,
+        "solution": lambda c: _semigroup_line(_complement(c)),
+        "partition": lambda p: format_text(partition_record(p)),
+    },
+    "json": {
+        "semigroup": lambda s: json.dumps(semigroup_record(s)),
+        "solution": lambda c: json.dumps(solution_record(c)),
+        "partition": lambda p: json.dumps(partition_record(p)),
+    },
+}
+
+# The required option of each query subcommand besides -A, with its settings.
+_BOUNDS = {"-F": {"type": int}, "-B": {"metavar": "INTS"}}
+
+
+def _add_query(sub, name: str, bound: str, common, **kwargs) -> None:
+    """Subcommand ``name`` taking -A and the required option ``bound``."""
+    p = sub.add_parser(name, parents=[common], **kwargs)
+    p.add_argument("-A", default="", metavar="INTS")
+    p.add_argument(bound, required=True, **_BOUNDS[bound])
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the numsem command line."""
     parser = _Parser(prog="numsem", description="numerical semigroup enumeration")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -182,90 +226,74 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--limit", type=int, default=None, metavar="K")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_irr = sub.add_parser("irreducibles", parents=[common],
-                           help="irreducible semigroups with Frobenius number F containing A")
-    p_irr.add_argument("-A", default="", metavar="INTS")
-    p_irr.add_argument("-F", required=True, type=int)
-
-    p_all = sub.add_parser("semigroups", parents=[common],
-                           help="all semigroups with Frobenius number F containing A")
-    p_all.add_argument("-A", default="", metavar="INTS")
-    p_all.add_argument("-F", required=True, type=int)
-
-    p_max = sub.add_parser("maximal", parents=[common],
-                           help="maximal semigroups containing A and avoiding B")
-    p_max.add_argument("-A", default="", metavar="INTS")
-    p_max.add_argument("-B", required=True, metavar="INTS")
-
-    p_solve = sub.add_parser("solve", parents=[common],
-                             help="minimal partition hitting sets for (A, B)")
-    p_solve.add_argument("-A", default="", metavar="INTS")
-    p_solve.add_argument("-B", required=True, metavar="INTS")
+    _add_query(sub, "irreducibles", "-F", common,
+               help="irreducible semigroups with Frobenius number F containing A")
+    _add_query(sub, "semigroups", "-F", common,
+               help="all semigroups with Frobenius number F containing A")
+    _add_query(sub, "maximal", "-B", common,
+               help="maximal semigroups containing A and avoiding B")
+    _add_query(sub, "solve", "-B", common,
+               help="minimal partition hitting sets for (A, B)")
 
     p_oracle = sub.add_parser("oracle", parents=[common],
                               help="brute-force references for manual cross-checks")
     osub = p_oracle.add_subparsers(dest="oracle_command", required=True, parser_class=_Parser)
-    o_all = osub.add_parser("semigroups", parents=[common])
-    o_all.add_argument("-A", default="", metavar="INTS")
-    o_all.add_argument("-F", required=True, type=int)
-    o_irr = osub.add_parser("irreducibles", parents=[common])
-    o_irr.add_argument("-A", default="", metavar="INTS")
-    o_irr.add_argument("-F", required=True, type=int)
+    _add_query(osub, "semigroups", "-F", common)
+    _add_query(osub, "irreducibles", "-F", common)
     o_parts = osub.add_parser("partitions", parents=[common])
     o_parts.add_argument("target", type=int)
-    o_hit = osub.add_parser("hitting-sets", parents=[common])
-    o_hit.add_argument("-A", default="", metavar="INTS")
-    o_hit.add_argument("-B", required=True, metavar="INTS")
+    _add_query(osub, "hitting-sets", "-B", common)
 
     return parser
 
 
-def _dispatch(args) -> list[dict]:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`run`: built on the first call, shared by every later one."""
+    return build_parser()
+
+
+def _dispatch(args):
+    """The results of the query, and the function that renders one result as a line."""
     required = _parse_intlist(getattr(args, "A", ""), "-A")
+    render = _RENDER[args.format]
 
     if args.command == "irreducibles":
         _check_caps(args.F, None)
-        semis = enumerate_irreducibles(required, args.F)
-        return [semigroup_record(s) for s in semis]
+        return enumerate_irreducibles(required, args.F), render["semigroup"]
 
     if args.command == "semigroups":
         _check_caps(args.F, None)
-        semis = enumerate_with_frobenius(required, args.F)
-        return [semigroup_record(s) for s in semis]
+        return enumerate_with_frobenius(required, args.F), render["semigroup"]
 
     if args.command == "maximal":
         forbidden = _parse_intlist(args.B, "-B")
         _check_caps(None, forbidden)
-        semis = maximal_avoiding(required, forbidden)
-        return [semigroup_record(s) for s in semis]
+        return maximal_avoiding(required, forbidden), render["semigroup"]
 
     if args.command == "solve":
         forbidden = _parse_intlist(args.B, "-B")
         _check_caps(None, forbidden)
-        return [solution_record(c) for c in solve(required, forbidden)]
+        return solve(required, forbidden), render["solution"]
 
     if args.command == "oracle":
         if args.oracle_command == "semigroups":
-            return [semigroup_record(s)
-                    for s in oracle.all_semigroups_with_frobenius(args.F, required)]
+            return oracle.all_semigroups_with_frobenius(args.F, required), render["semigroup"]
         if args.oracle_command == "irreducibles":
-            return [semigroup_record(s)
-                    for s in oracle.irreducibles_bruteforce(args.F, required)]
+            return oracle.irreducibles_bruteforce(args.F, required), render["semigroup"]
         if args.oracle_command == "partitions":
-            return [partition_record(p) for p in oracle.partitions(args.target)]
+            return oracle.partitions(args.target), render["partition"]
         if args.oracle_command == "hitting-sets":
             forbidden = _parse_intlist(args.B, "-B")
-            return [solution_record(tuple(k))
-                    for k in oracle.minimal_hitting_sets(required, forbidden)]
+            return oracle.minimal_hitting_sets(required, forbidden), render["solution"]
 
     raise _UsageError(f"unknown command {args.command!r}")
 
 
 def run(argv=None) -> int:
-    """Parse, execute, stream records; returns the process exit code."""
-    parser = build_parser()
+    """Parse, execute, write records; returns the process exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -278,7 +306,7 @@ def run(argv=None) -> int:
             raise _UsageError("--parallel expects a positive worker count")
         if args.limit is not None and args.limit < 0:
             raise _UsageError("--limit expects a non-negative count")
-        records = _dispatch(args)
+        results, render = _dispatch(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -292,18 +320,16 @@ def run(argv=None) -> int:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
 
-    emitted = records
-    if args.limit is not None and len(records) > args.limit:
-        emitted = records[: args.limit]
+    emitted = results
+    if args.limit is not None and len(results) > args.limit:
+        emitted = results[: args.limit]
         print(
-            f"output truncated to {args.limit} of {len(records)} records",
+            f"output truncated to {args.limit} of {len(results)} records",
             file=sys.stderr,
         )
-    for record in emitted:
-        if args.format == "json":
-            print(json.dumps(record))
-        else:
-            print(format_text(record))
+    write = sys.stdout.write
+    for item in emitted:
+        write(render(item) + "\n")
     return EXIT_OK
 
 

@@ -30,13 +30,14 @@ def solve(required, forbidden, *, workers: int = 1) -> list[tuple[int, ...]]:
 
     Each solution is the gap set of one maximal avoider; distinct
     semigroups have distinct gap sets, so the translation is injective.
+    The avoiders come sorted by gap list, so the solutions need no sort.
     Raises Infeasible when a forbidden value is generated by the required
     set.  ``workers`` is accepted as a worker-budget hint and has no effect.
     """
     semigroups = maximal_avoiding(required, forbidden)
     solutions = [s.gaps() for s in semigroups]
     assert len(set(solutions)) == len(solutions)
-    return sorted(solutions)
+    return solutions
 
 
 def check_solution(candidate, required, forbidden) -> bool:

@@ -38,7 +38,7 @@ from .core import (
     apery_vector,
     avoids_genset,
     contains_genset,
-    gap_key,
+    gap_rank,
     normalize_genset,
     semigroup_from_apery_vector,  # noqa: F401  bench/tracer.py wraps it in this namespace
 )
@@ -123,9 +123,11 @@ def maximal_avoiding(required, forbidden, *, workers: int = 1) -> list[Numerical
 
     Raises Infeasible when a forbidden value is generated by the required
     set, and CapacityExceeded when the nominal join product is too large.
-    Output is sorted by gap list.  Every returned semigroup is rebuilt
-    from its bitmap through the closure-checked constructor.  ``workers``
-    is accepted as a worker-budget hint and has no effect.
+    Output is sorted by gap list: every result has Frobenius number
+    max(forbidden), so the integer key gap_rank gives that order.  Every
+    returned semigroup is rebuilt from its bitmap through the
+    closure-checked constructor.  ``workers`` is accepted as a
+    worker-budget hint and has no effect.
     """
     problem = make_problem(required, forbidden)
     top = problem.forbidden[-1]
@@ -149,4 +151,4 @@ def maximal_avoiding(required, forbidden, *, workers: int = 1) -> list[Numerical
     for s in result:
         assert contains_genset(s, problem.required), s
         assert avoids_genset(s, problem.forbidden), s
-    return sorted(result, key=gap_key)
+    return sorted(result, key=gap_rank)

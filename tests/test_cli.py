@@ -1,11 +1,14 @@
 """Command-line surface: formats, exit codes, determinism, diagnostics."""
 
 import json
+import os
 import subprocess
 import sys
 
 import jsonschema
+import pytest
 
+from numsem import cli, oracle
 from numsem.cli import (
     EXIT_CAPACITY,
     EXIT_INFEASIBLE,
@@ -13,14 +16,15 @@ from numsem.cli import (
     EXIT_USAGE,
     RECORD_KEYS,
     RECORD_SCHEMA,
-    apery_record,
+    build_parser,
     format_text,
     frobenius_display,
     run,
     semigroup_record,
     solution_record,
 )
-from numsem.core import AperyVector, FULL_SEMIGROUP, NumericalSemigroup
+from numsem.core import FULL_SEMIGROUP, NumericalSemigroup
+from numsem.frontier import solve
 
 sg = NumericalSemigroup.from_generators
 
@@ -162,6 +166,34 @@ class TestLimitsAndCaps:
         assert len(out.splitlines()) == 3
         assert err == ""
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 9])
+    def test_limit_bounds_rendering(self, capsys, monkeypatch, fmt, limit):
+        rendered = []
+        line = cli._RENDER[fmt]["semigroup"]
+        monkeypatch.setitem(
+            cli._RENDER[fmt], "semigroup", lambda s: rendered.append(s) or line(s)
+        )
+        code, out, err = invoke(
+            capsys, "irreducibles", "-A", "4", "-F", "11", "--format", fmt,
+            "--limit", str(limit),
+        )
+        assert code == EXIT_OK
+        assert len(rendered) == len(out.splitlines()) == min(limit, 3)
+        if limit < 3:
+            assert err == f"output truncated to {limit} of 3 records\n"
+        else:
+            assert err == ""
+
+    def test_limit_renders_solutions_lazily(self, capsys, monkeypatch):
+        calls = []
+        complement = cli._complement
+        monkeypatch.setattr(cli, "_complement", lambda c: calls.append(c) or complement(c))
+        code, out, err = invoke(capsys, "solve", "-B", "21,25", "--limit", "2")
+        assert code == EXIT_OK
+        assert len(calls) == len(out.splitlines()) == 2
+        assert err.startswith("output truncated to 2 of ")
+
     def test_frobenius_cap(self, capsys):
         code, _, err = invoke(capsys, "irreducibles", "-A", "", "-F", "201")
         assert code == EXIT_CAPACITY
@@ -239,15 +271,6 @@ class TestRecordBuilders:
         assert record["gaps"] == []
         assert frobenius_display(sg([4, 6, 9])) == 11
 
-    def test_apery_vector_record(self):
-        vector = AperyVector(4, (9, 6, 15))
-        record = apery_record(vector)
-        jsonschema.validate(record, RECORD_SCHEMA)
-        assert tuple(record) == RECORD_KEYS
-        assert record["kind"] == "apery-vector"
-        assert record["elements"] == [9, 6, 15]
-        assert format_text(record) == "(9,6,15) | n=4"
-
     def test_solution_record_empty(self):
         record = solution_record(())
         assert record["frobenius"] == -1
@@ -255,3 +278,63 @@ class TestRecordBuilders:
 
     def test_text_render_of_full_semigroup(self):
         assert format_text(semigroup_record(FULL_SEMIGROUP)) == "<1> | F=-1 g=0 gaps={}"
+
+
+class TestTextRenderer:
+    """Text lines read off the bitmap equal format_text of the record dicts."""
+
+    def test_semigroup_lines_match_the_records(self):
+        pool = [FULL_SEMIGROUP]
+        for frobenius in range(1, 15):
+            pool += oracle.all_semigroups_with_frobenius(frobenius)
+        assert len(pool) == 380
+        for s in pool:
+            assert cli._semigroup_line(s) == format_text(semigroup_record(s)), s
+        assert cli._semigroup_line(FULL_SEMIGROUP) == "<1> | F=-1 g=0 gaps={}"
+
+    def test_solution_lines_match_the_records(self):
+        render = cli._RENDER["text"]["solution"]
+        cases = [(), *solve([], [6, 9]), *solve([4, 9], [11, 14]), *solve([3], [7, 11])]
+        for c in cases:
+            assert render(c) == format_text(solution_record(c)), c
+
+    def test_json_lines_dump_the_records(self):
+        s = sg([4, 6, 9])
+        assert cli._RENDER["json"]["semigroup"](s) == json.dumps(semigroup_record(s))
+        c = s.gaps()
+        assert cli._RENDER["json"]["solution"](c) == json.dumps(solution_record(c))
+
+
+class TestParserReuse:
+    # Usage errors, help texts and queries, interleaved in one process.
+    ARGV = [
+        ["irreducibles", "-A", "4;9", "-F", "11"],
+        ["--help"],
+        ["irreducibles", "-A", "4", "-F", "11"],
+        ["frobenius"],
+        ["solve", "-A", "4,9", "-B", "11,14", "--format", "json"],
+        ["irreducibles", "--help"],
+        ["semigroups", "-F", "7", "--limit", "2"],
+        ["irreducibles", "-A", "4"],
+        ["oracle", "hitting-sets", "-A", "4,9", "-B", "11,14"],
+        ["irreducibles", "-A", "4", "-F", "8"],
+        ["maximal", "-B", "11,13", "--parallel", "0"],
+        ["oracle", "partitions", "4", "--format", "json"],
+        ["irreducibles", "-F", "201"],
+        ["irreducibles", "-A", "4", "-F", "11", "--format", "json"],
+    ]
+
+    def test_reused_parser_matches_fresh_processes(self, capsys, monkeypatch):
+        # Help text wraps at the terminal width, which COLUMNS fixes.
+        monkeypatch.setenv("COLUMNS", "80")
+        in_process = [invoke(capsys, *argv) for argv in self.ARGV]
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+        for argv, got in zip(self.ARGV, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "numsem.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, COLUMNS="80"),
+            )
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
