@@ -57,10 +57,11 @@ def class_minimum(s: NumericalSemigroup, ctx: IrreducibleContext) -> NumericalSe
     """The smallest semigroup sharing the irreducible closure of s.
 
     Generated by the required set together with the members of s below
-    F/2, plus everything above F.
+    F/2, plus everything above F.  The cached minimal generators of s
+    below F/2 generate those members, so they stand in for them.
     """
     frob = ctx.frobenius
-    half = tuple(x for x in s.small_elements() if x and 2 * x < frob)
+    half = tuple(m for m in s.minimal_generators() if 2 * m < frob)
     table = Submonoid(ctx.required + half, frob)
     return NumericalSemigroup(frob, table.member_mask())
 
@@ -132,14 +133,13 @@ def frobenius_class(s: NumericalSemigroup, ctx: IrreducibleContext) -> Frobenius
     return FrobeniusClass(s, bottom, removable, tuple(members))
 
 
-def enumerate_with_frobenius(required, frobenius: int, *, workers: int = 1) -> list[NumericalSemigroup]:
+def enumerate_with_frobenius(required, frobenius: int) -> list[NumericalSemigroup]:
     """Every numerical semigroup with Frobenius number F containing the required set.
 
     Enumerates the irreducibles, expands each class, and concatenates.
     Classes of distinct irreducibles are provably disjoint; the merge
     asserts it.  Raises Infeasible when F is generated by the required
-    set.  ``workers`` is accepted as a worker-budget hint and has no
-    effect.  Output is sorted by gap list with no final sort: a member
+    set.  Output is sorted by gap list with no final sort: a member
     agrees with its class top below F/2, distinct irreducibles with one F
     already differ below F/2, and the tree walk returns the tops in gap
     order.

@@ -58,8 +58,9 @@ class Submonoid:
     """Membership table on [0, bound] for the monoid generated by a finite set.
 
     Membership means representability as a non-negative integer combination
-    of the generators, i.e. the unbounded coin problem; the table is filled
-    by one forward dynamic-programming pass per generator.  Instances are
+    of the generators, i.e. the unbounded coin problem.  The table is closed
+    under each generator g by shift-or doubling: after the shifts by g, 2g,
+    ..., 2^j g it holds every x + kg with k < 2^(j+1).  Instances are
     immutable values.
     """
 
@@ -69,13 +70,13 @@ class Submonoid:
         if bound < 1:
             raise ValueError("bound must be >= 1")
         gens = normalize_genset(generators)
+        full = (1 << (bound + 1)) - 1
         mask = 1
         for g in gens:
-            if g > bound:
-                continue
-            for x in range(g, bound + 1):
-                if mask >> (x - g) & 1:
-                    mask |= 1 << x
+            step = g
+            while step <= bound:
+                mask |= (mask << step) & full
+                step *= 2
         self.generators = gens
         self.bound = bound
         self._mask = mask
@@ -368,49 +369,33 @@ def minimal_generating_set(generators) -> tuple[int, ...]:
     gens = normalize_genset(generators)
     if not gens:
         raise ValueError("the generator set must contain a positive integer")
-    bound = gens[-1]
-    mask = 1
     kept = []
     for m in gens:
-        if mask >> m & 1:
-            continue
-        kept.append(m)
-        for x in range(m, bound + 1):
-            if mask >> (x - m) & 1:
-                mask |= 1 << x
+        if m not in Submonoid(kept, m):
+            kept.append(m)
     return tuple(kept)
 
 
 def apery(s: NumericalSemigroup, n: int) -> frozenset[int]:
     """The Apery set of n in s: least member of each residue class mod n.
 
-    n must be a nonzero member.  Each representative is at most F + n,
-    since everything above F is a member.
+    n must be a nonzero member.  The least member of a class is the member
+    w with w - n not a member, and it is at most F + n, since everything
+    above F is a member; so one shift of the member bitmap on [0, F + n]
+    finds all of them.
     """
     if n < 1 or n not in s:
         raise errors.NotAMember(f"{n} is not a nonzero member")
-    least = []
-    for i in range(n):
-        x = i
-        while x not in s:
-            x += n
-        least.append(x)
-    return frozenset(least)
+    members = s.member_mask(s.frobenius + n)
+    return frozenset(_bit_positions(members & ~(members << n)))
 
 
 def apery_vector(s: NumericalSemigroup, n: int) -> AperyVector:
     """The Apery set with the zero entry dropped, indexed by residue."""
     if n < 2:
         raise ValueError("apery vectors need modulus at least 2")
-    if n not in s:
-        raise errors.NotAMember(f"{n} is not a nonzero member")
-    coords = []
-    for i in range(1, n):
-        x = i
-        while x not in s:
-            x += n
-        coords.append(x)
-    return AperyVector(n, tuple(coords))
+    least = sorted(apery(s, n), key=lambda w: w % n)
+    return AperyVector(n, tuple(least[1:]))
 
 
 def semigroup_from_apery_vector(v: AperyVector) -> NumericalSemigroup:

@@ -25,14 +25,14 @@ from .core import Submonoid, normalize_genset
 from .maxavoid import maximal_avoiding
 
 
-def solve(required, forbidden, *, workers: int = 1) -> list[tuple[int, ...]]:
+def solve(required, forbidden) -> list[tuple[int, ...]]:
     """All minimal solution sets, as sorted tuples, lexicographically ordered.
 
     Each solution is the gap set of one maximal avoider; distinct
     semigroups have distinct gap sets, so the translation is injective.
     The avoiders come sorted by gap list, so the solutions need no sort.
     Raises Infeasible when a forbidden value is generated by the required
-    set.  ``workers`` is accepted as a worker-budget hint and has no effect.
+    set.
     """
     semigroups = maximal_avoiding(required, forbidden)
     solutions = [s.gaps() for s in semigroups]

@@ -168,11 +168,10 @@ def _expand_levels(ctx: IrreducibleContext) -> list[NumericalSemigroup]:
     return sorted(seen, key=gap_rank)
 
 
-def enumerate_irreducibles(required, frobenius: int, *, workers: int = 1) -> list[NumericalSemigroup]:
+def enumerate_irreducibles(required, frobenius: int) -> list[NumericalSemigroup]:
     """Every irreducible semigroup with Frobenius number F containing the required set.
 
     Raises Infeasible when F itself is generated by the required set.
-    Output is sorted by gap list.  ``workers`` is accepted as a
-    worker-budget hint and has no effect: the walk runs in one thread.
+    Output is sorted by gap list.
     """
     return _expand_levels(make_context(required, frobenius))

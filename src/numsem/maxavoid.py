@@ -1,50 +1,58 @@
 """Maximal numerical semigroups containing a required set and avoiding a
 forbidden set.
 
-For a single forbidden value b, the maximal avoiders are exactly the
-irreducible semigroups with Frobenius number b containing the required
-set.  For several forbidden values, every avoider is an intersection of
-single-value avoiders, so the maximal avoiders are the inclusion-maximal
-intersections that take one irreducible per forbidden value.
+Let t = max(forbidden).  An avoider stays one when every integer above t
+is added, so a maximal avoider has Frobenius number t.  It therefore lies
+in exactly one class [bottom, top] of an irreducible top with Frobenius
+number t (see :mod:`numsem.classes`), whose members are bottom | T for
+the up-sets T of D = top \\ bottom, ordered by d <= e iff e - d is in
+bottom.  Such a member avoids the forbidden set B iff bottom does and T
+misses X = B & D, that is, iff T lies in D minus the down-set
 
-Every family member contains all integers above t = max(forbidden), so
-on the window [0, t] a member is its membership bitmap, intersection is
-bitwise AND and inclusion is a subset test on bitmaps.  A maximal
-avoider misses t and contains everything above it, so its Frobenius
-number is t and its bitmap on [0, t] is its canonical encoding.  The
-same pipeline reads, in Apery-vector space at modulus t + 1, as
-componentwise maxima of vectors followed by a Pareto-minimal filter: the
-componentwise order on Apery vectors reverses inclusion, and the
-componentwise max is the vector of the intersection.
+    down(X) = {d in D : x - d in bottom for some x in X}.
 
-The AND product over the per-value families can blow up, so it is
-streamed one family at a time, keeping only the inclusion-maximal partial
-intersections: if p is a subset of q then p AND e is a subset of q AND e
-for every later choice e, so dropping p loses no maximal element.  A
-hard cap on the nominal product size fails loudly before any expansion
-starts.
+So each class holds one largest avoider, bottom | (D \\ down(X)), which
+is the top itself when the top avoids B, and every maximal avoider is
+the candidate of its class.  One walk of the irreducibles with Frobenius
+number t yields them all.
+
+A candidate S is maximal iff every gap g has a witness: some b in B and
+k >= 1 with b - kg in S, so that adding g generates b.  Only the gaps
+t - d for removed d (d in down(X)) need a search:
+  * a removed d has x - d in bottom for some x in X (b = x, k = 1);
+  * any other gap g != t/2 is a gap of the irreducible top, so t - g is
+    in top, and it stays in S unless it was removed (b = t, k = 1);
+  * g = t/2 has b = t, k = 2.
+
+A candidate agrees with its top below t/2, and distinct irreducibles with
+one Frobenius number already differ there, so the candidates come in the
+gap order of their tops and need no sort.
+
+Apery vectors at modulus t + 1 give an independent reference: the
+componentwise order reverses inclusion and the componentwise max is the
+vector of the intersection, so the maximal avoiders are the semigroups of
+the Pareto-minimal joins of one irreducible vector per forbidden value.
+The tests compare against that form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import errors
+from .classes import class_minimum
 from .core import (
     AperyVector,
     NumericalSemigroup,
     Submonoid,
+    _bit_positions,
     apery_vector,
     avoids_genset,
     contains_genset,
-    gap_rank,
     normalize_genset,
     semigroup_from_apery_vector,  # noqa: F401  bench/tracer.py wraps it in this namespace
 )
-from .irreducible import enumerate_irreducibles
-
-MAX_JOIN_PRODUCT = 10**7
+from .irreducible import enumerate_irreducibles, make_context
 
 
 @dataclass(frozen=True)
@@ -104,51 +112,41 @@ def pareto_minimal(vectors) -> list[AperyVector]:
     return [AperyVector(modulus, c) for c in keep]
 
 
-def _inclusion_maximal(masks) -> list[int]:
-    """The distinct bitmaps that no other bitmap in the collection contains.
-
-    A proper superset has strictly more bits, so after a descending sort
-    by bit count every bitmap that could contain m is already kept or
-    itself contained in a kept one; m stays iff no kept k covers it.
-    """
-    kept: list[int] = []
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        if all(m & ~k for k in kept):
-            kept.append(m)
-    return kept
-
-
-def maximal_avoiding(required, forbidden, *, workers: int = 1) -> list[NumericalSemigroup]:
+def maximal_avoiding(required, forbidden) -> list[NumericalSemigroup]:
     """All maximal semigroups containing the required set and avoiding the forbidden one.
 
-    Raises Infeasible when a forbidden value is generated by the required
-    set, and CapacityExceeded when the nominal join product is too large.
-    Output is sorted by gap list: every result has Frobenius number
-    max(forbidden), so the integer key gap_rank gives that order.  Every
-    returned semigroup is rebuilt from its bitmap through the
-    closure-checked constructor.  ``workers`` is accepted as a
-    worker-budget hint and has no effect.
+    One candidate per irreducible with Frobenius number t = max(forbidden),
+    kept when every gap t - d left by a removed d has a witness (see the
+    module docstring for why no other gap needs one).  Raises Infeasible
+    when a forbidden value is generated by the required set.  Output is
+    sorted by gap list.  Every returned semigroup is rebuilt from its
+    bitmap through the closure-checked constructor.
     """
     problem = make_problem(required, forbidden)
-    top = problem.forbidden[-1]
-    families = [
-        [
-            s.member_mask(top)
-            for s in enumerate_irreducibles(problem.required, b)
-        ]
-        for b in problem.forbidden
-    ]
-    if math.prod(len(f) for f in families) > MAX_JOIN_PRODUCT:
-        raise errors.CapacityExceeded(
-            f"join product exceeds {MAX_JOIN_PRODUCT} combinations"
-        )
-    # Irreducibles sharing a Frobenius number are pairwise incomparable,
-    # so the first family needs no filter.
-    front = families[0]
-    for family in families[1:]:
-        front = _inclusion_maximal(p & e for p in front for e in family)
-    result = [NumericalSemigroup.from_mask(top, m) for m in front]
+    forbidden = problem.forbidden
+    t = forbidden[-1]
+    ctx = make_context(problem.required, t)
+    avoid = sum(1 << b for b in forbidden)
+    result = []
+    for top in enumerate_irreducibles(problem.required, t):
+        mask = top.member_mask()
+        hit = mask & avoid  # equals X = B & D once bottom avoids B
+        if hit:
+            bottom = class_minimum(top, ctx).member_mask()
+            if bottom & avoid:
+                continue
+            down = 0  # the removable d with x - d in bottom for some x in X
+            for d in _bit_positions(mask & ~bottom):
+                if bottom << d & hit:
+                    down |= 1 << d
+            mask &= ~down
+            if not all(
+                any(mask >> (b - k * g) & 1 for b in forbidden for k in range(1, b // g + 1))
+                for g in (t - d for d in _bit_positions(down))
+            ):
+                continue
+        result.append(NumericalSemigroup.from_mask(t, mask))
     for s in result:
         assert contains_genset(s, problem.required), s
-        assert avoids_genset(s, problem.forbidden), s
-    return sorted(result, key=gap_rank)
+        assert avoids_genset(s, forbidden), s
+    return result

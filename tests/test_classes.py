@@ -11,7 +11,7 @@ from numsem.classes import (
     frobenius_class,
     trace_family,
 )
-from numsem.core import FULL_SEMIGROUP, NumericalSemigroup, gap_key, gap_rank
+from numsem.core import FULL_SEMIGROUP, NumericalSemigroup, Submonoid, gap_key, gap_rank
 from numsem.irreducible import (
     enumerate_irreducibles,
     irreducible_closure,
@@ -53,6 +53,22 @@ class TestClassMinimum:
     def test_self_bottom(self, ctx4_11):
         assert class_minimum(sg([4, 5]), ctx4_11) == sg([4, 5])
         assert class_minimum(sg([2, 13]), ctx4_11) == sg([2, 13])
+
+    @pytest.mark.parametrize("required", [(), (4,), (6, 9)])
+    def test_generated_by_members_below_half(self, required):
+        """The definition: the required set and every member x with 2x < F generate the bottom."""
+        checked = 0
+        for frob in range(1, 32 if not required else 61):
+            try:
+                ctx = make_context(required, frob)
+            except errors.Infeasible:
+                continue
+            for top in enumerate_irreducibles(required, frob):
+                half = [x for x in top.small_elements() if x and 2 * x < frob]
+                monoid = Submonoid(required + tuple(half), frob)
+                assert class_minimum(top, ctx) == NumericalSemigroup(frob, monoid.member_mask())
+                checked += 1
+        assert checked > 90
 
 
 class TestClosureTrace:
@@ -207,9 +223,6 @@ class TestEnumerateWithFrobenius:
             pool = all_semigroups_with_frobenius(frob)
             assert len({gap_rank(s) for s in pool}) == len(pool)
             assert sorted(pool, key=gap_rank) == sorted(pool, key=gap_key)
-
-    def test_workers_do_not_change_output(self):
-        assert enumerate_with_frobenius([], 11, workers=4) == enumerate_with_frobenius([], 11)
 
     @pytest.mark.parametrize("required", [(), (4,), (5,), (5, 7)])
     def test_output_strictly_increasing_in_gap_key(self, required):

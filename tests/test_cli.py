@@ -200,8 +200,9 @@ class TestLimitsAndCaps:
         assert "capped at 200" in err
 
     def test_forbidden_cap(self, capsys):
-        code, _, err = invoke(capsys, "solve", "-A", "", "-B", "500")
-        assert code == EXIT_CAPACITY
+        for command in ("maximal", "solve"):
+            code, _, err = invoke(capsys, command, "-A", "", "-B", "500")
+            assert code == EXIT_CAPACITY, command
 
     def test_input_width_cap(self, capsys):
         code, _, err = invoke(capsys, "solve", "-A", str(2**31), "-B", "4")

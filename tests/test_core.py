@@ -314,6 +314,21 @@ class TestApery:
                 for n in list(s.small_elements())[1:] + [frob + 1, frob + 2]:
                     assert len(apery(s, n)) == n
 
+    def test_matches_residue_scan(self):
+        """The definition: the least member of each residue class, indexed by residue."""
+        for frob in range(1, 10):
+            for s in all_semigroups_with_frobenius(frob):
+                for n in list(s.small_elements())[1:] + [frob + 1, frob + 2]:
+                    least = []
+                    for i in range(n):
+                        x = i
+                        while x not in s:
+                            x += n
+                        least.append(x)
+                    assert apery(s, n) == frozenset(least)
+                    if n >= 2:
+                        assert apery_vector(s, n).coords == tuple(least[1:])
+
 
 class TestAperyVector:
     def test_coordinates(self):

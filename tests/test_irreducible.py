@@ -176,9 +176,6 @@ class TestEnumerate:
         narrow = enumerate_irreducibles([4, 9], 11)
         assert narrow == [s for s in wide if 9 in s]
 
-    def test_workers_do_not_change_output(self):
-        assert enumerate_irreducibles([], 13, workers=4) == enumerate_irreducibles([], 13)
-
     def test_count_at_scale(self):
         result = enumerate_irreducibles([], 61)
         assert len(result) == 5602

@@ -196,14 +196,6 @@ class TestMaximalAvoiding:
         result = maximal_avoiding([], [5, 7, 9])
         assert result == brute_maximal_avoiding([], [5, 7, 9])
 
-    def test_capacity_guard(self, monkeypatch):
-        monkeypatch.setattr("numsem.maxavoid.MAX_JOIN_PRODUCT", 1)
-        with pytest.raises(errors.CapacityExceeded):
-            maximal_avoiding([4], [11, 14])
-
-    def test_workers_do_not_change_output(self):
-        assert maximal_avoiding([], [6, 9], workers=4) == maximal_avoiding([], [6, 9])
-
     @pytest.mark.parametrize("required", [(), (3,), (4,), (5, 7)])
     def test_matches_apery_reference(self, required):
         checked = 0
@@ -219,13 +211,17 @@ class TestMaximalAvoiding:
                 checked += 1
         assert checked > 0
 
-    def test_scale_certificates(self):
-        """B = {41, 43}, far past the brute-force grid, checked in polynomial time."""
-        forbidden = (41, 43)
+    @pytest.mark.parametrize(
+        "forbidden, count",
+        [((41, 43), 177), ((51, 53), 410), ((37, 41, 43), 100), ((33, 35, 37, 39), 20)],
+    )
+    def test_scale_certificates(self, forbidden, count):
+        """Far past the brute-force grid, checked in polynomial time."""
+        top = max(forbidden)
         result = maximal_avoiding([], forbidden)
-        assert len(result) == 177
+        assert len(result) == count
         for s in result:
-            assert s.frobenius == 43
+            assert s.frobenius == top
             assert avoids_genset(s, forbidden)
         masks = [s.member_mask() for s in result]
         for m in masks:
@@ -233,5 +229,5 @@ class TestMaximalAvoiding:
                 assert m == k or m & ~k, "comparable results"
         for s in result:
             for g in s.gaps():
-                grown = Submonoid(s.minimal_generators() + (g,), 43)
+                grown = Submonoid(s.minimal_generators() + (g,), top)
                 assert any(b in grown for b in forbidden), (s, g)
