@@ -23,13 +23,13 @@ add the union of every trace so far with the trace of d.  The work is
 are bitmaps on [0, F] throughout; each member is still validated by the
 closure-checking mask constructor.
 
-For a fixed F, gap-list order equals ascending order of the member
-bitmap read with bit 0 as its most significant bit, so the members of a
-class are sorted by that integer key.  The classes come in the gap order
-of their tops, and that concatenation is already in gap order.
-
-The union of the classes over all irreducibles yields every semigroup
-with Frobenius number F containing A, each exactly once.
+The classes partition every semigroup with Frobenius number F containing
+A, but the enumeration of that family does not go through them: it is
+the prefix search of :mod:`numsem.irreducible` run over all of [1, F),
+whose leaves are the semigroups themselves, in gap order by
+construction.  The class expansion below is kept as the reference that
+the tests compare against, and as the class theory that
+:mod:`numsem.maxavoid` relies on.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from . import errors
 from .core import NumericalSemigroup, Submonoid, _bit_positions, contains_genset, gap_rank
-from .irreducible import IrreducibleContext, _expand_levels, make_context
+from .irreducible import IrreducibleContext, _search, make_context
 
 MAX_REMOVABLE = 30
 
@@ -136,17 +136,12 @@ def frobenius_class(s: NumericalSemigroup, ctx: IrreducibleContext) -> Frobenius
 def enumerate_with_frobenius(required, frobenius: int) -> list[NumericalSemigroup]:
     """Every numerical semigroup with Frobenius number F containing the required set.
 
-    Enumerates the irreducibles, expands each class, and concatenates.
-    Classes of distinct irreducibles are provably disjoint; the merge
-    asserts it.  Raises Infeasible when F is generated by the required
-    set.  Output is sorted by gap list with no final sort: a member
-    agrees with its class top below F/2, distinct irreducibles with one F
-    already differ below F/2, and the tree walk returns the tops in gap
-    order.
+    The leaves of the prefix search over [1, F), each rebuilt through the
+    closure-checking mask constructor; gap order by construction.  Raises
+    Infeasible when F is generated by the required set.
     """
     ctx = make_context(required, frobenius)
-    members = [
-        m for top in _expand_levels(ctx) for m in frobenius_class(top, ctx).members
+    return [
+        NumericalSemigroup.from_mask(frobenius, mask)
+        for mask in _search(ctx.monoid.member_mask(), frobenius, frobenius - 1)
     ]
-    assert len(set(members)) == len(members), "classes of distinct irreducibles must be disjoint"
-    return members

@@ -54,13 +54,27 @@ def _bit_positions(mask: int):
         mask ^= low
 
 
+def _add_generator(mask: int, g: int, bound: int) -> int:
+    """The bitmap of every x + kg on [0, bound] with x in mask and k >= 0.
+
+    Shift-or doubling: after the shifts by g, 2g, ..., 2^j g it holds
+    every x + kg with k < 2^(j+1).  When mask is a monoid on [0, bound],
+    so is the result: the monoid generated by mask and g.
+    """
+    full = (1 << (bound + 1)) - 1
+    step = g
+    while step <= bound:
+        mask |= (mask << step) & full
+        step *= 2
+    return mask
+
+
 class Submonoid:
     """Membership table on [0, bound] for the monoid generated by a finite set.
 
     Membership means representability as a non-negative integer combination
-    of the generators, i.e. the unbounded coin problem.  The table is closed
-    under each generator g by shift-or doubling: after the shifts by g, 2g,
-    ..., 2^j g it holds every x + kg with k < 2^(j+1).  Instances are
+    of the generators, i.e. the unbounded coin problem.  The table adds one
+    generator at a time to {0} (see _add_generator).  Instances are
     immutable values.
     """
 
@@ -70,13 +84,9 @@ class Submonoid:
         if bound < 1:
             raise ValueError("bound must be >= 1")
         gens = normalize_genset(generators)
-        full = (1 << (bound + 1)) - 1
         mask = 1
         for g in gens:
-            step = g
-            while step <= bound:
-                mask |= (mask << step) & full
-                step *= 2
+            mask = _add_generator(mask, g, bound)
         self.generators = gens
         self.bound = bound
         self._mask = mask

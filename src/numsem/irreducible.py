@@ -6,14 +6,28 @@ semigroups sharing its Frobenius number, and equivalently its genus equals
 ceil((F + 1) / 2).  This module enumerates every irreducible semigroup
 with Frobenius number F that contains a required generator set A.
 
-The family carries a rooted tree structure.  The root is the irreducible
-closure of <A> | {F+1, ->}: fill every gap x with 2x > F whose mirror
-F - x is also a gap.  Walking away from the root exchanges a minimal
-generator x in (F/2, F) for the gap F - x; walking toward it exchanges
-the least "free" minimal generator a (below F/2 and outside A) for F - a.
-Each exchange preserves the gap count, hence irreducibility, and the
-side conditions below make the two moves mutually inverse, so every
-family member is reached exactly once.
+An irreducible S is fixed by its members below F/2: for x != F/2, x is in
+S iff F - x is not (Rosales and Garcia-Sanchez, Numerical Semigroups,
+2009, ch. 4).  So the enumeration is a prefix search over the positions
+x with 2x < F (see _search): it decides them in ascending order, gap
+before member, keeping M, the monoid generated by A and the members
+chosen so far, as a bitmap on [0, F].  A member branch is taken only
+when F stays outside M; the gap branch is always feasible, since later
+members are larger and never fill an earlier gap, so every path ends in
+a leaf and the search has polynomial delay (the "flashlight" backtrack of
+Read and Tarjan, Networks 5, 1975).  Each leaf M becomes an irreducible
+by the mirror fill, which adds every x in (F/2, F) with F - x outside M.
+Leaves come out in gap order by construction.
+
+The same family carries a rooted tree structure, kept as the reference
+the tests compare against.  The root is the irreducible closure of
+<A> | {F+1, ->}: fill every gap x with 2x > F whose mirror F - x is also
+a gap.  Walking away from the root exchanges a minimal generator x in
+(F/2, F) for the gap F - x; walking toward it exchanges the least "free"
+minimal generator a (below F/2 and outside A) for F - a.  Each exchange
+preserves the gap count, hence irreducibility, and the side conditions
+below make the two moves mutually inverse, so every family member is
+reached exactly once.
 
 A child move at x requires, beyond x being a minimal generator with
 F/2 < x < F and x not in A:
@@ -27,10 +41,10 @@ F/2 < x < F and x not in A:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import errors
-from .core import NumericalSemigroup, Submonoid, gap_rank, normalize_genset
+from .core import NumericalSemigroup, Submonoid, _add_generator, normalize_genset
 
 
 @dataclass(frozen=True)
@@ -41,10 +55,6 @@ class IrreducibleContext:
     frobenius: int
     monoid: Submonoid
     root: NumericalSemigroup
-    required_set: frozenset[int] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "required_set", frozenset(self.required))
 
 
 def is_irreducible(s: NumericalSemigroup) -> bool:
@@ -73,12 +83,39 @@ def irreducible_closure(s: NumericalSemigroup) -> NumericalSemigroup:
     """
     if s.is_full:
         raise errors.FullSemigroup("the full semigroup has no gaps to fill")
-    frob = s.frobenius
-    mask = s.member_mask()
-    for x in range(frob // 2 + 1, frob):
-        if not mask >> x & 1 and (frob - x) not in s:
-            mask |= 1 << x
-    return NumericalSemigroup(frob, mask)
+    return NumericalSemigroup(s.frobenius, _mirror_fill(s.member_mask(), s.frobenius))
+
+
+def _mirror_fill(mask: int, frobenius: int) -> int:
+    """The bitmap with every x in (F/2, F) added whose mirror F - x is outside it."""
+    mirror = int(f"{mask:0{frobenius + 1}b}"[::-1], 2)
+    upper = (1 << frobenius) - (1 << (frobenius // 2 + 1))
+    return mask | upper & ~mirror
+
+
+def _search(mask: int, frobenius: int, last: int, avoid: int = 0):
+    """Yield each bitmap generated by mask and positions in [1, last] that misses F and avoid.
+
+    mask must be closed under addition on [0, F].  Positions 1, ..., last
+    are decided in ascending order, gap before member, so the leaves are
+    distinct on [1, last] and come out in gap order by construction.
+    Adding k closes M by shift-or doubling.  The member branch is taken
+    only when the closed bitmap misses F and every bit of avoid; the gap
+    branch always is, so every path ends in a leaf.
+    """
+    stop = 1 << frobenius | avoid
+    stack = [(mask, 1)]
+    while stack:
+        mask, k = stack.pop()
+        free = ~mask >> k  # the least position >= k outside M
+        k += (free & -free).bit_length() - 1
+        if k > last:
+            yield mask
+            continue
+        member = _add_generator(mask, k, frobenius)
+        if not member & stop:
+            stack.append((member, k + 1))
+        stack.append((mask, k + 1))
 
 
 def make_context(required, frobenius: int) -> IrreducibleContext:
@@ -93,8 +130,8 @@ def make_context(required, frobenius: int) -> IrreducibleContext:
     monoid = Submonoid(gens, frobenius)
     if frobenius in monoid:
         raise errors.Infeasible(frobenius, monoid.decompose(frobenius))
-    base = NumericalSemigroup(frobenius, monoid.member_mask())
-    return IrreducibleContext(gens, frobenius, monoid, irreducible_closure(base))
+    root = NumericalSemigroup(frobenius, _mirror_fill(monoid.member_mask(), frobenius))
+    return IrreducibleContext(gens, frobenius, monoid, root)
 
 
 def root_irreducible(required, frobenius: int) -> NumericalSemigroup:
@@ -116,10 +153,9 @@ def min_free_generator(s: NumericalSemigroup, ctx: IrreducibleContext) -> int | 
     for m in s.minimal_generators():
         if 2 * m >= frob:
             break
-        if m not in ctx.required_set:
-            # A minimal generator cannot be a nontrivial combination of
-            # required elements, all of which are members.
-            assert m not in ctx.monoid, (s, m)
+        # A minimal generator lies in the required set iff the required
+        # elements generate it: it is no sum of two nonzero members.
+        if m not in ctx.monoid:
             return m
     return math.inf
 
@@ -140,7 +176,7 @@ def children(s: NumericalSemigroup, ctx: IrreducibleContext) -> list[NumericalSe
     for x in s.minimal_generators():
         if x >= frob:
             break
-        if 2 * x <= frob or x in ctx.required_set:
+        if 2 * x <= frob or x in ctx.monoid:
             continue
         if (2 * x - frob) in s or 3 * x == 2 * frob or 4 * x == 3 * frob:
             continue
@@ -151,21 +187,12 @@ def children(s: NumericalSemigroup, ctx: IrreducibleContext) -> list[NumericalSe
 
 
 def _expand_levels(ctx: IrreducibleContext) -> list[NumericalSemigroup]:
-    """Breadth-first walk of the tree, one level after the other; sorted by gap list.
-
-    All nodes share the Frobenius number F, so gap-list order is the
-    ascending order of the integer key core.gap_rank.
-    """
-    seen = {ctx.root}
-    frontier = [ctx.root]
-    while frontier:
-        level, frontier = frontier, []
-        for s in level:
-            for child in children(s, ctx):
-                assert child not in seen, f"tree produced {child} twice"
-                seen.add(child)
-                frontier.append(child)
-    return sorted(seen, key=gap_rank)
+    """Every irreducible of the context, in gap order: the mirror fills of the lower halves."""
+    frob = ctx.frobenius
+    return [
+        NumericalSemigroup(frob, _mirror_fill(half, frob))
+        for half in _search(ctx.monoid.member_mask(), frob, (frob - 1) // 2)
+    ]
 
 
 def enumerate_irreducibles(required, frobenius: int) -> list[NumericalSemigroup]:

@@ -13,8 +13,12 @@ misses X = B & D, that is, iff T lies in D minus the down-set
 
 So each class holds one largest avoider, bottom | (D \\ down(X)), which
 is the top itself when the top avoids B, and every maximal avoider is
-the candidate of its class.  One walk of the irreducibles with Frobenius
-number t yields them all.
+the candidate of its class.  The class bottom is generated by A and the
+members below t/2, so it is a leaf of the prefix search of
+:mod:`numsem.irreducible` over the positions below t/2, and its top is
+the mirror fill of it.  No class whose bottom meets B has a candidate,
+and a bottom only grows along a search path, so the search drops a
+member branch as soon as it meets B.  One search yields every candidate.
 
 A candidate S is maximal iff every gap g has a witness: some b in B and
 k >= 1 with b - kg in S, so that adding g generates b.  Only the gaps
@@ -24,9 +28,8 @@ t - d for removed d (d in down(X)) need a search:
     in top, and it stays in S unless it was removed (b = t, k = 1);
   * g = t/2 has b = t, k = 2.
 
-A candidate agrees with its top below t/2, and distinct irreducibles with
-one Frobenius number already differ there, so the candidates come in the
-gap order of their tops and need no sort.
+A candidate agrees with its bottom below t/2, where distinct bottoms
+differ, so the candidates come in gap order by construction.
 
 Apery vectors at modulus t + 1 give an independent reference: the
 componentwise order reverses inclusion and the componentwise max is the
@@ -40,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors
-from .classes import class_minimum
 from .core import (
     AperyVector,
     NumericalSemigroup,
@@ -52,7 +54,7 @@ from .core import (
     normalize_genset,
     semigroup_from_apery_vector,  # noqa: F401  bench/tracer.py wraps it in this namespace
 )
-from .irreducible import enumerate_irreducibles, make_context
+from .irreducible import _mirror_fill, _search, enumerate_irreducibles
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,8 @@ def pareto_minimal(vectors) -> list[AperyVector]:
 def maximal_avoiding(required, forbidden) -> list[NumericalSemigroup]:
     """All maximal semigroups containing the required set and avoiding the forbidden one.
 
-    One candidate per irreducible with Frobenius number t = max(forbidden),
+    One candidate per class bottom, a leaf of the prefix search with
+    Frobenius number t = max(forbidden) that avoids the forbidden set,
     kept when every gap t - d left by a removed d has a witness (see the
     module docstring for why no other gap needs one).  Raises Infeasible
     when a forbidden value is generated by the required set.  Output is
@@ -125,20 +128,15 @@ def maximal_avoiding(required, forbidden) -> list[NumericalSemigroup]:
     problem = make_problem(required, forbidden)
     forbidden = problem.forbidden
     t = forbidden[-1]
-    ctx = make_context(problem.required, t)
     avoid = sum(1 << b for b in forbidden)
+    start = Submonoid(problem.required, t).member_mask()
     result = []
-    for top in enumerate_irreducibles(problem.required, t):
-        mask = top.member_mask()
-        hit = mask & avoid  # equals X = B & D once bottom avoids B
+    for bottom in _search(start, t, (t - 1) // 2, avoid):
+        mask = _mirror_fill(bottom, t)
+        hit = mask & avoid  # X = B & D, since bottom avoids B
         if hit:
-            bottom = class_minimum(top, ctx).member_mask()
-            if bottom & avoid:
-                continue
-            down = 0  # the removable d with x - d in bottom for some x in X
-            for d in _bit_positions(mask & ~bottom):
-                if bottom << d & hit:
-                    down |= 1 << d
+            # the removable d with x - d in bottom for some x in X
+            down = sum(1 << d for d in _bit_positions(mask & ~bottom) if bottom << d & hit)
             mask &= ~down
             if not all(
                 any(mask >> (b - k * g) & 1 for b in forbidden for k in range(1, b // g + 1))

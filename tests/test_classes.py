@@ -2,7 +2,7 @@
 
 import pytest
 
-from numsem import errors
+from numsem import classes, errors
 from numsem.classes import (
     _trace_family,
     class_minimum,
@@ -240,3 +240,31 @@ class TestEnumerateWithFrobenius:
             assert enumerate_with_frobenius(required, frob) == all_semigroups_with_frobenius(
                 frob, required
             )
+
+    @pytest.mark.parametrize("required", [(), (3,), (4,), (5, 7), (6, 9), (7,), (9, 11)])
+    def test_equals_class_expansion(self, required):
+        """The members of the classes of the tops, concatenated in the tops' gap order."""
+        checked = 0
+        for frob in range(1, 23 if not required else 31):
+            try:
+                ctx = make_context(required, frob)
+            except errors.Infeasible:
+                continue
+            expected = [
+                m for top in enumerate_irreducibles(required, frob)
+                for m in frobenius_class(top, ctx).members
+            ]
+            assert enumerate_with_frobenius(required, frob) == expected, (required, frob)
+            checked += 1
+        assert checked >= 10
+
+    def test_past_the_class_cap(self, monkeypatch):
+        ctx = make_context([4], 123)
+        tops = enumerate_irreducibles([4], 123)
+        with pytest.raises(errors.CapacityExceeded):
+            for top in tops:
+                frobenius_class(top, ctx)
+        result = enumerate_with_frobenius([4], 123)
+        assert len(result) == 437
+        monkeypatch.setattr(classes, "MAX_REMOVABLE", 64)
+        assert result == [m for top in tops for m in frobenius_class(top, ctx).members]

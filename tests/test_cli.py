@@ -204,6 +204,13 @@ class TestLimitsAndCaps:
             code, _, err = invoke(capsys, command, "-A", "", "-B", "500")
             assert code == EXIT_CAPACITY, command
 
+    def test_semigroups_past_the_class_cap(self, capsys):
+        # Classes here have more removable elements than classes.MAX_REMOVABLE.
+        for required, frob, count in (("3", "185", 32), ("4", "123", 437)):
+            code, out, err = invoke(capsys, "semigroups", "-A", required, "-F", frob)
+            assert (code, err) == (EXIT_OK, ""), (required, frob)
+            assert len(out.splitlines()) == count
+
     def test_input_width_cap(self, capsys):
         code, _, err = invoke(capsys, "solve", "-A", str(2**31), "-B", "4")
         assert code == EXIT_CAPACITY

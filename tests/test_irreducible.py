@@ -12,6 +12,7 @@ from numsem.core import (
     Submonoid,
     contains_genset,
     gap_key,
+    gap_rank,
 )
 from numsem.irreducible import (
     children,
@@ -26,6 +27,17 @@ from numsem.irreducible import (
 from numsem.oracle import irreducibles_bruteforce
 
 sg = NumericalSemigroup.from_generators
+
+
+def tree_walk(ctx):
+    """Reference: every node reached by children from the root, sorted by gap_rank."""
+    nodes, stack = [], [ctx.root]
+    while stack:
+        s = stack.pop()
+        nodes.append(s)
+        stack.extend(children(s, ctx))
+    assert len(set(nodes)) == len(nodes), "the tree reached a node twice"
+    return sorted(nodes, key=gap_rank)
 
 
 class TestIsIrreducible:
@@ -199,3 +211,16 @@ class TestEnumerate:
                     assert enumerate_irreducibles(
                         required, frob
                     ) == irreducibles_bruteforce(frob, required)
+
+    @pytest.mark.parametrize("required", [(), (3,), (4,), (5, 7), (6, 9), (7,), (9, 11)])
+    def test_matches_tree_walk(self, required):
+        """List and order equal the Blanco-Rosales tree walk, past the oracle's F <= 16."""
+        checked = 0
+        for frob in range(1, 51 if not required else 61):
+            try:
+                ctx = make_context(required, frob)
+            except errors.Infeasible:
+                continue
+            assert enumerate_irreducibles(required, frob) == tree_walk(ctx), (required, frob)
+            checked += 1
+        assert checked >= 10
