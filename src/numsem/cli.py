@@ -18,11 +18,15 @@ and every run is single-threaded whatever its value.
 
 The argument parser is built once per process, on the first :func:`run`
 call, and reused by every later call.  Each result is rendered as it is
-written: a text line is read straight off the semigroup's member bitmap
-and its cached minimal generators, and equals ``format_text`` of the
-record dict that JSON mode dumps.  ``--limit K`` renders and writes only
-K records, but the enumeration still runs to the end, since the stderr
-note reports the total.
+written, text and JSON alike, straight off the semigroup's member bitmap
+and its minimal generators, which ``from_mask`` caches as it validates
+a result: a text line equals ``format_text`` of the record dict, and a JSON
+line equals ``json.dumps`` of it.  ``solve`` renders the maximal
+avoiders themselves as solution-set records, since each solution is the
+gap set of one avoider; the record builders below stay for the library,
+the oracle's gap tuples and the tests.  ``--limit K`` renders and writes
+only K records, but the enumeration still runs to the end, since the
+stderr note reports the total.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible input (the diagnostic
 names a witness combination), 3 capacity error.
@@ -42,7 +46,7 @@ from itertools import compress
 from . import errors, oracle
 from .classes import enumerate_with_frobenius
 from .core import NumericalSemigroup
-from .frontier import solve
+from .frontier import solve  # noqa: F401  bench/tracer.py wraps it in this namespace
 from .irreducible import enumerate_irreducibles
 from .maxavoid import maximal_avoiding
 
@@ -180,28 +184,49 @@ _NUMERALS = [str(i) for i in range(2 * max(MAX_FROBENIUS_INPUT, MAX_FORBIDDEN_IN
 _GAP_FLAGS = bytes.maketrans(b"01", b"\1\0")
 
 
-def _semigroup_line(s: NumericalSemigroup) -> str:
-    """``format_text(semigroup_record(s))``, read off the member bitmap."""
+def _numerals(s: NumericalSemigroup, sep: str) -> tuple[str, str]:
+    """The minimal generators and the gaps of s, each joined by sep, read off the bitmap."""
     frob = s.frobenius
     assert 2 * frob + 1 < len(_NUMERALS), frob
     # Character i of the reversed binary string is bit i of the mask.
     flags = f"{s.member_mask():0{frob + 1}b}"[::-1].encode().translate(_GAP_FLAGS)
-    msg = ",".join(map(_NUMERALS.__getitem__, s.minimal_generators()))
-    gaps = ",".join(compress(_NUMERALS, flags))
+    msg = sep.join(map(_NUMERALS.__getitem__, s.minimal_generators()))
+    return msg, sep.join(compress(_NUMERALS, flags))
+
+
+def _semigroup_line(s: NumericalSemigroup) -> str:
+    """``format_text(semigroup_record(s))``, read off the member bitmap."""
+    msg, gaps = _numerals(s, ",")
     return f"<{msg}> | F={frobenius_display(s)} g={s.genus} gaps={{{gaps}}}"
 
 
-# The line of one result, by output format and result kind.  Record
-# builders are looked up at call time, so wrappers installed on them apply.
+def _json_line(s: NumericalSemigroup, kind: str) -> str:
+    """``json.dumps`` of the record of s, read off the member bitmap.
+
+    A solution-set record is the one of its complement s, with elements
+    equal to gaps: ``json.dumps(solution_record(s.gaps()))``.
+    """
+    msg, gaps = _numerals(s, ", ")
+    elements = f"[{gaps}]" if kind == "solution-set" else "null"
+    return (f'{{"kind": "{kind}", "msg": [{msg}], "frobenius": {frobenius_display(s)}, '
+            f'"genus": {s.genus}, "gaps": [{gaps}], "elements": {elements}}}')
+
+
+# The line of one result, by output format and result kind: a semigroup,
+# a solution set as a gap tuple, a maximal avoider as a solve result, or
+# a partition.  Record builders are looked up at call time, so wrappers
+# installed on them apply.
 _RENDER = {
     "text": {
         "semigroup": _semigroup_line,
         "solution": lambda c: _semigroup_line(_complement(c)),
+        "solve": _semigroup_line,
         "partition": lambda p: format_text(partition_record(p)),
     },
     "json": {
-        "semigroup": lambda s: json.dumps(semigroup_record(s)),
+        "semigroup": lambda s: _json_line(s, "semigroup"),
         "solution": lambda c: json.dumps(solution_record(c)),
+        "solve": lambda s: _json_line(s, "solution-set"),
         "partition": lambda p: json.dumps(partition_record(p)),
     },
 }
@@ -274,7 +299,10 @@ def _dispatch(args):
     if args.command == "solve":
         forbidden = _parse_intlist(args.B, "-B")
         _check_caps(None, forbidden)
-        return solve(required, forbidden), render["solution"]
+        # The solutions are the gap sets of the maximal avoiders.
+        avoiders = maximal_avoiding(required, forbidden)
+        assert len({s.member_mask() for s in avoiders}) == len(avoiders)
+        return avoiders, render["solve"]
 
     if args.command == "oracle":
         if args.oracle_command == "semigroups":

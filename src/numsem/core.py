@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
 
 from . import errors
 
@@ -46,12 +47,17 @@ def normalize_genset(raw) -> tuple[int, ...]:
     return tuple(v for v in values if v > 0)
 
 
+# Turns the binary digits of a bitmap into byte 1 at a set bit and 0 elsewhere.
+_SET_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bit_positions(mask: int):
-    """Positions of the set bits of a non-negative bitmap, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Positions of the set bits of a non-negative bitmap, ascending, as an iterator.
+
+    One scan at C level: character i of the reversed binary string is
+    bit i, and compress keeps the positions whose flag byte is 1.
+    """
+    return compress(count(), f"{mask:b}"[::-1].encode().translate(_SET_FLAGS))
 
 
 def _add_generator(mask: int, g: int, bound: int) -> int:
@@ -199,20 +205,15 @@ class NumericalSemigroup:
     def from_mask(cls, frobenius: int, mask: int) -> "NumericalSemigroup":
         """Validated construction from the member bitmap on [0, F].
 
-        Checks what the raw constructor checks, then additive closure.
-        The smaller summand of a violating pair is at most F/2, so the
-        scan stops there; the first violating x, and hence the reported
-        ClosureViolation pair, is the same as for a scan over all of [1, F].
+        Checks what the raw constructor checks, then additive closure, in
+        the same scan that finds the minimal generators, which are cached.
+        That scan shifts the members by each member x up to (F + m)/2,
+        past F/2, where the smaller summand of any violating pair lies;
+        the first violating x, and hence the reported ClosureViolation
+        pair, is the same as for a scan over all of [1, F].
         """
         s = cls(frobenius, mask)
-        full = (1 << (frobenius + 1)) - 1
-        for x in range(1, frobenius // 2 + 1):
-            if not mask >> x & 1:
-                continue
-            bad = (mask << x) & full & ~mask
-            if bad:
-                y = (bad & -bad).bit_length() - 1 - x
-                raise errors.ClosureViolation(min(x, y), max(x, y))
+        s._scan_generators(check=True)
         return s
 
     @classmethod
@@ -300,18 +301,35 @@ class NumericalSemigroup:
         x > F + m splits as m + (x - m) with x - m > F a member.  So the
         window [1, F + m] is exhaustive, and the smaller summand of any sum
         inside it is at most (F + m)/2.  The full semigroup gives (1,).
-        The result is cached.
+        The result is cached; :meth:`from_mask` fills the cache while it
+        checks closure.
         """
         if self._msg is None:
-            # F + m, where m, the least nonzero member, is at most F + 1.
-            nonzero = self.member_mask(self.frobenius + 1) & ~1
-            window = self.frobenius + (nonzero & -nonzero).bit_length() - 1
-            members = self.member_mask(window) & ~1
-            sums = 0
-            for x in _bit_positions(members & ((2 << (window // 2)) - 1)):
-                sums |= members << x
-            self._msg = tuple(_bit_positions(members & ~sums))
+            self._scan_generators(check=False)
         return self._msg
+
+    def _scan_generators(self, check: bool) -> None:
+        """Cache the minimal generators; with check, raise on the first closure violation.
+
+        One shift of the members by each member x <= (F + m)/2 gives the
+        sums of minimal_generators; with check, the same shift is tested
+        against the gaps on [1, F] (see from_mask).
+        """
+        frob = self.frobenius
+        # F + m, where m, the least nonzero member, is at most F + 1.
+        nonzero = self.member_mask(frob + 1) & ~1
+        window = frob + (nonzero & -nonzero).bit_length() - 1
+        members = self.member_mask(window) & ~1
+        gaps = ~self._mask & ((1 << (frob + 1)) - 1) if check else 0
+        sums = 0
+        for x in _bit_positions(members & ((2 << (window // 2)) - 1)):
+            shifted = members << x
+            bad = shifted & gaps
+            if bad:
+                y = (bad & -bad).bit_length() - 1 - x
+                raise errors.ClosureViolation(min(x, y), max(x, y))
+            sums |= shifted
+        self._msg = tuple(_bit_positions(members & ~sums))
 
     def issubset(self, other: "NumericalSemigroup") -> bool:
         """Set inclusion; integers above both Frobenius numbers are shared."""

@@ -25,6 +25,7 @@ from numsem.cli import (
 )
 from numsem.core import FULL_SEMIGROUP, NumericalSemigroup
 from numsem.frontier import solve
+from numsem.maxavoid import maximal_avoiding
 
 sg = NumericalSemigroup.from_generators
 
@@ -101,6 +102,12 @@ class TestMaximalAndSolve:
         assert record["elements"] == [1, 2, 3, 5, 6, 7, 10, 11, 14]
         assert record["gaps"] == record["elements"]
         assert record["msg"] == [4, 9, 15]
+
+    def test_solve_asserts_distinct_solutions(self, monkeypatch):
+        s = sg([4, 9, 15])
+        monkeypatch.setattr(cli, "maximal_avoiding", lambda required, forbidden: [s, s])
+        with pytest.raises(AssertionError):
+            run(["solve", "-A", "4,9", "-B", "11,14"])
 
     def test_solve_infeasible(self, capsys):
         code, out, err = invoke(capsys, "solve", "-A", "4,9", "-B", "13")
@@ -187,8 +194,8 @@ class TestLimitsAndCaps:
 
     def test_limit_renders_solutions_lazily(self, capsys, monkeypatch):
         calls = []
-        complement = cli._complement
-        monkeypatch.setattr(cli, "_complement", lambda c: calls.append(c) or complement(c))
+        line = cli._RENDER["text"]["solve"]
+        monkeypatch.setitem(cli._RENDER["text"], "solve", lambda s: calls.append(s) or line(s))
         code, out, err = invoke(capsys, "solve", "-B", "21,25", "--limit", "2")
         assert code == EXIT_OK
         assert len(calls) == len(out.splitlines()) == 2
@@ -311,6 +318,28 @@ class TestTextRenderer:
         assert cli._RENDER["json"]["semigroup"](s) == json.dumps(semigroup_record(s))
         c = s.gaps()
         assert cli._RENDER["json"]["solution"](c) == json.dumps(solution_record(c))
+
+    def test_json_semigroup_lines_match_the_dumps(self):
+        render = cli._RENDER["json"]["semigroup"]
+        pool = [FULL_SEMIGROUP]
+        for frobenius in range(1, 15):
+            pool += oracle.all_semigroups_with_frobenius(frobenius)
+        assert len(pool) == 380
+        for s in pool:
+            assert render(s) == json.dumps(semigroup_record(s)), s
+        full = render(FULL_SEMIGROUP)
+        assert '"frobenius": -1' in full and '"gaps": []' in full
+
+    @pytest.mark.parametrize(
+        "required, forbidden", [([], [6, 9]), ([4, 9], [11, 14]), ([3], [7, 11]), ([], [21, 25])]
+    )
+    def test_solve_lines_match_the_solution_records(self, required, forbidden):
+        avoiders = maximal_avoiding(required, forbidden)
+        assert [s.gaps() for s in avoiders] == solve(required, forbidden)
+        for s in avoiders:
+            record = solution_record(s.gaps())
+            assert cli._RENDER["text"]["solve"](s) == format_text(record), s
+            assert cli._RENDER["json"]["solve"](s) == json.dumps(record), s
 
 
 class TestParserReuse:

@@ -1,5 +1,7 @@
 """Core value types: membership tables, canonical semigroups, Apery machinery."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from numsem.core import (
     FULL_SEMIGROUP,
     NumericalSemigroup,
     Submonoid,
+    _bit_positions,
     apery,
     apery_vector,
     avoids_genset,
@@ -51,6 +54,48 @@ def full_window_minimal_generators(s):
         if mask >> x & 1:
             sums |= (mask & ~1) << x
     return tuple(x for x in range(1, window + 1) if mask >> x & 1 and not sums >> x & 1)
+
+
+def low_bit_positions(mask):
+    """Reference: set bits of a non-negative bitmap, peeled off one lowest bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def two_scan_from_mask(frob, mask):
+    """Reference: the closure scan over [1, F/2], then a separate generator scan.
+
+    Returns ("violation", (x, y)) for the first violating pair, else
+    ("generators", minimal generators).
+    """
+    full = (1 << (frob + 1)) - 1
+    for x in range(1, frob // 2 + 1):
+        if mask >> x & 1:
+            bad = (mask << x) & full & ~mask
+            if bad:
+                y = (bad & -bad).bit_length() - 1 - x
+                return "violation", (min(x, y), max(x, y))
+    s = NumericalSemigroup(frob, mask)
+    nonzero = s.member_mask(frob + 1) & ~1
+    window = frob + (nonzero & -nonzero).bit_length() - 1
+    members = s.member_mask(window) & ~1
+    sums = 0
+    for x in low_bit_positions(members & ((2 << (window // 2)) - 1)):
+        sums |= members << x
+    return "generators", tuple(low_bit_positions(members & ~sums))
+
+
+def fused_from_mask(frob, mask):
+    """from_mask, in the form two_scan_from_mask returns."""
+    try:
+        s = NumericalSemigroup.from_mask(frob, mask)
+    except errors.ClosureViolation as exc:
+        return "violation", (exc.x, exc.y)
+    return "generators", s.minimal_generators()
 
 
 def uncached(s):
@@ -267,6 +312,38 @@ class TestNumericalSemigroup:
                         NumericalSemigroup.from_mask(frob, mask)
                     assert (info.value.x, info.value.y) == pair
             assert set(accepted) == set(all_semigroups_with_frobenius(frob))
+
+    def test_from_mask_matches_the_two_scans_on_every_bitmap(self):
+        assert fused_from_mask(0, 1) == two_scan_from_mask(0, 1) == ("generators", (1,))
+        closed = 0
+        for frob in range(1, 13):
+            for mask in range(1, 1 << frob, 2):
+                got = fused_from_mask(frob, mask)
+                assert got == two_scan_from_mask(frob, mask), (frob, mask)
+                closed += got[0] == "generators"
+        assert closed == sum(len(all_semigroups_with_frobenius(f)) for f in range(1, 13))
+
+    @pytest.mark.parametrize("required", [(), (7,), (9, 11)])
+    def test_from_mask_matches_the_two_scans_on_irreducibles(self, required):
+        for frob in range(1, 61):
+            try:
+                family = enumerate_irreducibles(required, frob)
+            except errors.Infeasible:
+                continue
+            for s in family:
+                mask = s.member_mask()
+                assert fused_from_mask(frob, mask) == two_scan_from_mask(frob, mask), s
+
+    def test_from_mask_caches_the_generators(self):
+        s = NumericalSemigroup.from_mask(11, sg([4, 6, 9]).member_mask())
+        assert s._msg == (4, 6, 9)
+
+    def test_bit_positions_match_the_lowest_bit_loop(self):
+        masks = [0, 1] + [1 << k for k in range(421)]
+        rng = random.Random(20221)
+        masks += [rng.getrandbits(rng.randint(1, 420)) for _ in range(200)]
+        for mask in masks:
+            assert list(_bit_positions(mask)) == low_bit_positions(mask), mask
 
     def test_from_mask_rejects_malformed_bitmaps(self):
         with pytest.raises(ValueError):

@@ -211,6 +211,27 @@ class TestMaximalAvoiding:
                 checked += 1
         assert checked > 0
 
+    def test_one_coin_table_per_query(self, monkeypatch):
+        calls = []
+        init = Submonoid.__init__
+        monkeypatch.setattr(
+            Submonoid, "__init__", lambda self, *args: calls.append(args) or init(self, *args)
+        )
+        assert len(maximal_avoiding([4, 9], [11, 14])) == 1
+        assert calls == [((4, 9), 14)]
+
+    def test_asserts_catch_a_result_that_meets_the_forbidden_set(self, monkeypatch):
+        # The bottom {0, 5} meets B; its mirror fill {0, 4, 5, 6} is closed.
+        monkeypatch.setattr(numsem.maxavoid, "_search", lambda *args: iter([1 | 1 << 5]))
+        with pytest.raises(AssertionError):
+            maximal_avoiding([], [5, 7])
+
+    def test_asserts_catch_a_result_that_misses_the_required_set(self, monkeypatch):
+        # The bottom {0} misses A; its mirror fill {0, 4, 5, 6} avoids B.
+        monkeypatch.setattr(numsem.maxavoid, "_search", lambda *args: iter([1]))
+        with pytest.raises(AssertionError):
+            maximal_avoiding([3], [7])
+
     @pytest.mark.parametrize(
         "forbidden, count",
         [((41, 43), 177), ((51, 53), 410), ((37, 41, 43), 100), ((33, 35, 37, 39), 20)],
