@@ -115,7 +115,8 @@ def frobenius_class(s: NumericalSemigroup, ctx: IrreducibleContext) -> Frobenius
     Members are bottom | T for every up-set T of the removable set, built
     as bitmaps.  Each one goes through the closure-checking mask
     constructor even though the trace construction guarantees closure;
-    the cheap re-check guards the differential suite against drift.
+    the re-check, which also caches the member's minimal generators,
+    guards the differential suite against drift.
     Members are sorted by gap list.
     """
     frob = ctx.frobenius

@@ -23,8 +23,9 @@ and its minimal generators, which ``from_mask`` caches as it validates
 a result: a text line equals ``format_text`` of the record dict, and a JSON
 line equals ``json.dumps`` of it.  ``solve`` renders the maximal
 avoiders themselves as solution-set records, since each solution is the
-gap set of one avoider; the record builders below stay for the library,
-the oracle's gap tuples and the tests.  ``--limit K`` renders and writes
+gap set of one avoider, and the oracle's solution sets as the complement
+of each gap tuple; the record builders below stay as the reference for
+the library and the tests.  ``--limit K`` renders and writes
 only K records, but the enumeration still runs to the end, since the
 stderr note reports the total.
 
@@ -214,8 +215,8 @@ def _json_line(s: NumericalSemigroup, kind: str) -> str:
 
 # The line of one result, by output format and result kind: a semigroup,
 # a solution set as a gap tuple, a maximal avoider as a solve result, or
-# a partition.  Record builders are looked up at call time, so wrappers
-# installed on them apply.
+# a partition.  Only partitions go through a record dict, looked up at
+# call time, so wrappers installed on it apply.
 _RENDER = {
     "text": {
         "semigroup": _semigroup_line,
@@ -225,7 +226,7 @@ _RENDER = {
     },
     "json": {
         "semigroup": lambda s: _json_line(s, "semigroup"),
-        "solution": lambda c: json.dumps(solution_record(c)),
+        "solution": lambda c: _json_line(_complement(c), "solution-set"),
         "solve": lambda s: _json_line(s, "solution-set"),
         "partition": lambda p: json.dumps(partition_record(p)),
     },

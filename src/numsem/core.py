@@ -205,12 +205,13 @@ class NumericalSemigroup:
     def from_mask(cls, frobenius: int, mask: int) -> "NumericalSemigroup":
         """Validated construction from the member bitmap on [0, F].
 
-        Checks what the raw constructor checks, then additive closure, in
-        the same scan that finds the minimal generators, which are cached.
-        That scan shifts the members by each member x up to (F + m)/2,
-        past F/2, where the smaller summand of any violating pair lies;
-        the first violating x, and hence the reported ClosureViolation
-        pair, is the same as for a scan over all of [1, F].
+        Checks what the raw constructor checks, then additive closure, on
+        the sums of the scan that finds the minimal generators, which are
+        cached.  That scan shifts the members by each member x up to
+        (F + m)/2, past F/2, where the smaller summand of any violating
+        pair lies, so the bitmap is closed iff no sum is a gap.  The
+        reported ClosureViolation pair is the one of the first violating
+        x, as for a scan over all of [1, F].
         """
         s = cls(frobenius, mask)
         s._scan_generators(check=True)
@@ -311,24 +312,26 @@ class NumericalSemigroup:
     def _scan_generators(self, check: bool) -> None:
         """Cache the minimal generators; with check, raise on the first closure violation.
 
-        One shift of the members by each member x <= (F + m)/2 gives the
-        sums of minimal_generators; with check, the same shift is tested
-        against the gaps on [1, F] (see from_mask).
+        The sums of minimal_generators are the shifts of the members by
+        each member x <= (F + m)/2.  With check, they are tested against
+        the gaps on [1, F] once, after the loop (see from_mask); only a
+        failing bitmap is scanned again, for its first violating x.
         """
         frob = self.frobenius
         # F + m, where m, the least nonzero member, is at most F + 1.
         nonzero = self.member_mask(frob + 1) & ~1
         window = frob + (nonzero & -nonzero).bit_length() - 1
         members = self.member_mask(window) & ~1
-        gaps = ~self._mask & ((1 << (frob + 1)) - 1) if check else 0
         sums = 0
         for x in _bit_positions(members & ((2 << (window // 2)) - 1)):
-            shifted = members << x
-            bad = shifted & gaps
-            if bad:
-                y = (bad & -bad).bit_length() - 1 - x
-                raise errors.ClosureViolation(min(x, y), max(x, y))
-            sums |= shifted
+            sums |= members << x
+        gaps = ~self._mask & ((1 << (frob + 1)) - 1) if check else 0
+        if sums & gaps:
+            for x in _bit_positions(members):
+                bad = (members << x) & gaps
+                if bad:
+                    y = (bad & -bad).bit_length() - 1 - x
+                    raise errors.ClosureViolation(min(x, y), max(x, y))
         self._msg = tuple(_bit_positions(members & ~sums))
 
     def issubset(self, other: "NumericalSemigroup") -> bool:
