@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors
-from .core import NumericalSemigroup, Submonoid, _bit_positions, contains_genset, gap_rank
+from .core import NumericalSemigroup, Submonoid, _bit_positions, contains_genset, gap_key
 from .irreducible import IrreducibleContext, _search, make_context
 
 MAX_REMOVABLE = 30
@@ -129,7 +129,7 @@ def frobenius_class(s: NumericalSemigroup, ctx: IrreducibleContext) -> Frobenius
         member = NumericalSemigroup.from_mask(frob, bottom_mask | trace)
         assert contains_genset(member, ctx.required), member
         members.append(member)
-    members.sort(key=gap_rank)
+    members.sort(key=gap_key)
     assert s in members, "the class must contain its top"
     return FrobeniusClass(s, bottom, removable, tuple(members))
 

@@ -23,14 +23,16 @@ and its minimal generators, which ``from_mask`` caches as it validates
 a result: a text line equals ``format_text`` of the record dict, and a JSON
 line equals ``json.dumps`` of it.  ``solve`` renders the maximal
 avoiders themselves as solution-set records, since each solution is the
-gap set of one avoider, and the oracle's solution sets as the complement
-of each gap tuple; the record builders below stay as the reference for
-the library and the tests.  ``--limit K`` renders and writes
-only K records, but the enumeration still runs to the end, since the
-stderr note reports the total.
+gap set of one avoider, and ``oracle hitting-sets`` renders the
+complement semigroup of each of its solution sets the same way; the
+record builders below stay as the reference for the library and the
+tests.  ``--limit K`` renders and writes only K records, but the
+enumeration still runs to the end, since the stderr note reports the
+total.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible input (the diagnostic
-names a witness combination), 3 capacity error.
+names a witness combination; the oracle subcommands that find nothing
+report the same one), 3 capacity error.
 
 The full semigroup reports the conventional Frobenius number -1 here;
 internally it is encoded as 0 with no gaps.
@@ -46,7 +48,7 @@ from itertools import compress
 
 from . import errors, oracle
 from .classes import enumerate_with_frobenius
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _coin_table, normalize_genset
 from .frontier import solve  # noqa: F401  bench/tracer.py wraps it in this namespace
 from .irreducible import enumerate_irreducibles
 from .maxavoid import maximal_avoiding
@@ -214,19 +216,17 @@ def _json_line(s: NumericalSemigroup, kind: str) -> str:
 
 
 # The line of one result, by output format and result kind: a semigroup,
-# a solution set as a gap tuple, a maximal avoider as a solve result, or
-# a partition.  Only partitions go through a record dict, looked up at
-# call time, so wrappers installed on it apply.
+# a semigroup whose gaps are a solution set, or a partition.  Only
+# partitions go through a record dict, looked up at call time, so
+# wrappers installed on it apply.
 _RENDER = {
     "text": {
         "semigroup": _semigroup_line,
-        "solution": lambda c: _semigroup_line(_complement(c)),
         "solve": _semigroup_line,
         "partition": lambda p: format_text(partition_record(p)),
     },
     "json": {
         "semigroup": lambda s: _json_line(s, "semigroup"),
-        "solution": lambda c: _json_line(_complement(c), "solution-set"),
         "solve": lambda s: _json_line(s, "solution-set"),
         "partition": lambda p: json.dumps(partition_record(p)),
     },
@@ -306,15 +306,23 @@ def _dispatch(args):
         return avoiders, render["solve"]
 
     if args.command == "oracle":
-        if args.oracle_command == "semigroups":
-            return oracle.all_semigroups_with_frobenius(args.F, required), render["semigroup"]
-        if args.oracle_command == "irreducibles":
-            return oracle.irreducibles_bruteforce(args.F, required), render["semigroup"]
         if args.oracle_command == "partitions":
             return oracle.partitions(args.target), render["partition"]
         if args.oracle_command == "hitting-sets":
-            forbidden = _parse_intlist(args.B, "-B")
-            return oracle.minimal_hitting_sets(required, forbidden), render["solution"]
+            targets = normalize_genset(_parse_intlist(args.B, "-B"))
+            hitting = oracle.minimal_hitting_sets(required, targets)
+            results, kind = [_complement(c) for c in hitting], "solve"
+        else:
+            targets = (args.F,)
+            if args.oracle_command == "semigroups":
+                results = oracle.all_semigroups_with_frobenius(args.F, required)
+            else:
+                results = oracle.irreducibles_bruteforce(args.F, required)
+            kind = "semigroup"
+        if not results:
+            # Empty exactly when A generates F or some b: raise that witness.
+            _coin_table(required, targets)
+        return results, render[kind]
 
     raise _UsageError(f"unknown command {args.command!r}")
 
@@ -336,10 +344,7 @@ def run(argv=None) -> int:
         if args.limit is not None and args.limit < 0:
             raise _UsageError("--limit expects a non-negative count")
         results, render = _dispatch(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except errors.Infeasible as exc:

@@ -163,7 +163,7 @@ class NumericalSemigroup:
     :meth:`from_generators` to close a generating set with gcd 1.
     """
 
-    __slots__ = ("frobenius", "_mask", "_msg", "_genus")
+    __slots__ = ("frobenius", "_mask", "_msg")
 
     def __init__(self, frobenius: int, mask: int):
         if frobenius < 0:
@@ -180,7 +180,6 @@ class NumericalSemigroup:
         self.frobenius = frobenius
         self._mask = mask
         self._msg: tuple[int, ...] | None = None
-        self._genus: int | None = None
 
     @classmethod
     def from_small_elements(cls, members, frobenius: int) -> "NumericalSemigroup":
@@ -224,26 +223,22 @@ class NumericalSemigroup:
         Convenience constructor: closes the generators by dynamic
         programming, growing the table until a full run of min(generators)
         consecutive members appears, which certifies that everything above
-        is a member.
+        is a member; the largest gap of that table is the Frobenius number,
+        and a table with no gap (1 is a generator) gives N.
         """
         gens = normalize_genset(generators)
         if not gens:
             raise ValueError("a numerical semigroup needs at least one positive generator")
         if math.gcd(*gens) != 1:
             raise ValueError(f"gcd({list(gens)}) != 1: the complement is infinite")
-        if gens[0] == 1:
-            return cls(0, 1)
         step = gens[0]
         bound = 2 * gens[-1]
         while True:
             table = Submonoid(gens, bound)
-            mask = table.member_mask()
             run = (1 << step) - 1 << (bound - step + 1)
-            if mask & run == run:
-                break
+            if table.member_mask() & run == run:
+                return _from_table(table)
             bound *= 2
-        frob = (~mask & ((1 << (bound + 1)) - 1)).bit_length() - 1  # the largest gap
-        return cls(frob, mask & ((1 << (frob + 1)) - 1))
 
     def __contains__(self, x: int) -> bool:
         if x < 0:
@@ -288,10 +283,8 @@ class NumericalSemigroup:
 
     @property
     def genus(self) -> int:
-        """Number of gaps."""
-        if self._genus is None:
-            self._genus = self.frobenius + 1 - self._mask.bit_count()
-        return self._genus
+        """Number of gaps: one popcount of the member bitmap."""
+        return self.frobenius + 1 - self._mask.bit_count()
 
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique minimal system of generators.
@@ -354,6 +347,29 @@ class NumericalSemigroup:
 
 
 FULL_SEMIGROUP = NumericalSemigroup(0, 1)
+
+
+def _from_table(table: Submonoid) -> NumericalSemigroup:
+    """The semigroup whose members are those of the table plus every integer above its bound.
+
+    The Frobenius number is the largest gap of the table, or 0 for N.
+    """
+    mask = table.member_mask()
+    frob = max((~mask & ((1 << (table.bound + 1)) - 1)).bit_length() - 1, 0)
+    return NumericalSemigroup(frob, mask & ((1 << (frob + 1)) - 1))
+
+
+def _coin_table(required, targets) -> Submonoid:
+    """The coin table of the required set on [0, max(targets)], built once.
+
+    Raises Infeasible, with one combination as the witness, for the first
+    target, in the given order, that the required set generates.
+    """
+    monoid = Submonoid(normalize_genset(required), max(targets))
+    for b in targets:
+        if b in monoid:
+            raise errors.Infeasible(b, monoid.decompose(b))
+    return monoid
 
 
 @dataclass(frozen=True)
@@ -439,14 +455,7 @@ def semigroup_from_apery_vector(v: AperyVector) -> NumericalSemigroup:
     member of its residue class), so a table up to max(coords) suffices.
     """
     n = v.modulus
-    bound = max(max(v.coords), n)
-    table = Submonoid(v.coords + (n,), bound)
-    mask = table.member_mask()
-    frob = (~mask & ((1 << (bound + 1)) - 1)).bit_length() - 1  # the largest gap, or -1
-    if frob < 1:
-        result = FULL_SEMIGROUP
-    else:
-        result = NumericalSemigroup(frob, mask & ((1 << (frob + 1)) - 1))
+    result = _from_table(Submonoid(v.coords + (n,), max(max(v.coords), n)))
     if apery_vector(result, n) != v:
         raise errors.NotInImage(f"{v.coords} is not an Apery vector for modulus {n}")
     return result
@@ -479,13 +488,3 @@ def gap_key(s: NumericalSemigroup) -> tuple[int, ...]:
     """
     return s.gaps()
 
-
-def gap_rank(s: NumericalSemigroup) -> int:
-    """Integer sort key that orders semigroups sharing one Frobenius number by gap list.
-
-    The member bitmap read with bit 0 as the most significant bit: the
-    first position where two members differ is a gap of the one that
-    comes first in gap-list order.  Across different Frobenius numbers it
-    does not agree with gap_key.
-    """
-    return int(f"{s._mask:0{s.frobenius + 1}b}"[::-1], 2)

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 from . import errors
-from .core import NumericalSemigroup, Submonoid, _add_generator, normalize_genset
+from .core import NumericalSemigroup, Submonoid, _add_generator, _coin_table
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,11 @@ def make_context(required, frobenius: int) -> IrreducibleContext:
     The problem is solvable exactly when F is not generated by the
     required set; otherwise Infeasible carries a witness combination.
     """
-    gens = normalize_genset(required)
     if frobenius < 1:
         raise ValueError("the Frobenius number must be positive")
-    monoid = Submonoid(gens, frobenius)
-    if frobenius in monoid:
-        raise errors.Infeasible(frobenius, monoid.decompose(frobenius))
+    monoid = _coin_table(required, (frobenius,))
     root = NumericalSemigroup(frobenius, _mirror_fill(monoid.member_mask(), frobenius))
-    return IrreducibleContext(gens, frobenius, monoid, root)
+    return IrreducibleContext(monoid.generators, frobenius, monoid, root)
 
 
 def root_irreducible(required, frobenius: int) -> NumericalSemigroup:

@@ -20,13 +20,16 @@ the mirror fill of it.  No class whose bottom meets B has a candidate,
 and a bottom only grows along a search path, so the search drops a
 member branch as soon as it meets B.  One search yields every candidate.
 
-A candidate S is maximal iff every gap g has a witness: some b in B and
-k >= 1 with b - kg in S, so that adding g generates b.  Only the gaps
-t - d for removed d (d in down(X)) need a search:
-  * a removed d has x - d in bottom for some x in X (b = x, k = 1);
+A candidate S is maximal iff adding any gap g generates some b in B,
+that is, iff the monoid <S, g> meets B.  Every b is at most t, and
+<S, g> on [0, t] is S + Ng, the closure step of the search, so the test
+is one shift-or doubling and one AND with B.  Only the gaps t - d for
+removed d (d in down(X)) need the test:
+  * a removed d has x - d in bottom for some x in X, so adding d
+    generates x;
   * any other gap g != t/2 is a gap of the irreducible top, so t - g is
-    in top, and it stays in S unless it was removed (b = t, k = 1);
-  * g = t/2 has b = t, k = 2.
+    in top, and it stays in S unless it was removed: adding g generates t;
+  * adding g = t/2 generates t = 2g.
 
 A candidate agrees with its bottom below t/2, where distinct bottoms
 differ, so the candidates come in gap order by construction.
@@ -46,8 +49,9 @@ from . import errors
 from .core import (
     AperyVector,
     NumericalSemigroup,
-    Submonoid,
+    _add_generator,
     _bit_positions,
+    _coin_table,
     apery_vector,
     normalize_genset,
     semigroup_from_apery_vector,  # noqa: F401  bench/tracer.py wraps it in this namespace
@@ -66,20 +70,11 @@ class AvoidanceProblem:
 
 def make_problem(required, forbidden) -> AvoidanceProblem:
     """Normalize and validate; Infeasible carries the witness combination."""
-    return _problem_and_monoid(required, forbidden)[0]
-
-
-def _problem_and_monoid(required, forbidden) -> tuple[AvoidanceProblem, Submonoid]:
-    """make_problem, with the coin table of the required set on [0, max(forbidden)]."""
-    required = normalize_genset(required)
     forbidden = normalize_genset(forbidden)
     if not forbidden:
         raise ValueError("the forbidden set must contain a positive integer")
-    monoid = Submonoid(required, forbidden[-1])
-    for b in forbidden:
-        if b in monoid:
-            raise errors.Infeasible(b, monoid.decompose(b))
-    return AvoidanceProblem(required, forbidden, forbidden[-1] + 1), monoid
+    monoid = _coin_table(required, forbidden)
+    return AvoidanceProblem(monoid.generators, forbidden, forbidden[-1] + 1)
 
 
 def irreducible_vectors(required, forbidden_value: int, modulus: int) -> list[AperyVector]:
@@ -122,18 +117,21 @@ def maximal_avoiding(required, forbidden) -> list[NumericalSemigroup]:
 
     One candidate per class bottom, a leaf of the prefix search with
     Frobenius number t = max(forbidden) that avoids the forbidden set,
-    kept when every gap t - d left by a removed d has a witness (see the
-    module docstring for why no other gap needs one).  Raises Infeasible
-    when a forbidden value is generated by the required set.  Output is
-    sorted by gap list.  Every returned semigroup is rebuilt from its
-    bitmap through the closure-checked constructor, which also caches
-    its minimal generators; callers need not validate it again.
+    kept when, for every gap t - d left by a removed d, the monoid
+    generated by it and the candidate meets the forbidden set (see the
+    module docstring for why no other gap needs the test).  Raises
+    Infeasible when a forbidden value is generated by the required set.
+    Output is sorted by gap list.  Every returned semigroup is rebuilt
+    from its bitmap through the closure-checked constructor, which also
+    caches its minimal generators; callers need not validate it again.
     """
-    problem, monoid = _problem_and_monoid(required, forbidden)
-    forbidden = problem.forbidden
+    forbidden = normalize_genset(forbidden)
+    if not forbidden:
+        raise ValueError("the forbidden set must contain a positive integer")
+    monoid = _coin_table(required, forbidden)
     t = forbidden[-1]
     avoid = sum(1 << b for b in forbidden)
-    need = sum(1 << a for a in problem.required if a <= t)
+    need = sum(1 << a for a in monoid.generators if a <= t)
     result = []
     for bottom in _search(monoid.member_mask(), t, (t - 1) // 2, avoid):
         mask = _mirror_fill(bottom, t)
@@ -142,10 +140,8 @@ def maximal_avoiding(required, forbidden) -> list[NumericalSemigroup]:
             # the removable d with x - d in bottom for some x in X
             down = sum(1 << d for d in _bit_positions(mask & ~bottom) if bottom << d & hit)
             mask &= ~down
-            if not all(
-                any(mask >> (b - k * g) & 1 for b in forbidden for k in range(1, b // g + 1))
-                for g in (t - d for d in _bit_positions(down))
-            ):
+            # adding the gap t - d must generate some b in B
+            if not all(_add_generator(mask, t - d, t) & avoid for d in _bit_positions(down)):
                 continue
         # contains_genset and avoids_genset, on the bitmap
         assert mask & need == need, mask

@@ -11,7 +11,7 @@ from numsem.classes import (
     frobenius_class,
     trace_family,
 )
-from numsem.core import FULL_SEMIGROUP, NumericalSemigroup, Submonoid, gap_key, gap_rank
+from numsem.core import FULL_SEMIGROUP, NumericalSemigroup, Submonoid, gap_key
 from numsem.irreducible import (
     enumerate_irreducibles,
     irreducible_closure,
@@ -217,12 +217,6 @@ class TestEnumerateWithFrobenius:
             floor = (11 + 2) // 2
             assert s.genus >= floor
             assert (s.genus == floor) == (s in tops)
-
-    def test_gap_rank_orders_like_gap_key(self):
-        for frob in range(1, 15):
-            pool = all_semigroups_with_frobenius(frob)
-            assert len({gap_rank(s) for s in pool}) == len(pool)
-            assert sorted(pool, key=gap_rank) == sorted(pool, key=gap_key)
 
     @pytest.mark.parametrize("required", [(), (4,), (5,), (5, 7)])
     def test_output_strictly_increasing_in_gap_key(self, required):

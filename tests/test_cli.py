@@ -159,6 +159,25 @@ class TestOracleSubcommands:
         assert code == EXIT_CAPACITY
         assert "capacity" in err
 
+    @pytest.mark.parametrize(
+        "query, main",
+        [
+            (("semigroups", "-A", "4", "-F", "8"), ("semigroups", "-A", "4", "-F", "8")),
+            (("irreducibles", "-A", "4", "-F", "8"), ("irreducibles", "-A", "4", "-F", "8")),
+            (("hitting-sets", "-A", "4,9", "-B", "11,13"), ("solve", "-A", "4,9", "-B", "11,13")),
+        ],
+    )
+    def test_infeasible_names_the_main_witness(self, capsys, query, main):
+        code, out, err = invoke(capsys, "oracle", *query)
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err.startswith("infeasible: ") and "∈ ⟨A⟩" in err
+        assert invoke(capsys, *main) == (code, out, err)
+
+    def test_capacity_comes_before_the_witness(self, capsys):
+        code, out, err = invoke(capsys, "oracle", "semigroups", "-A", "4", "-F", "20")
+        assert (code, out) == (EXIT_CAPACITY, "")
+        assert err.startswith("capacity: ")
+
 
 class TestLimitsAndCaps:
     def test_limit_truncates_with_note(self, capsys):
@@ -308,16 +327,16 @@ class TestTextRenderer:
         assert cli._semigroup_line(FULL_SEMIGROUP) == "<1> | F=-1 g=0 gaps={}"
 
     def test_solution_lines_match_the_records(self):
-        render = cli._RENDER["text"]["solution"]
+        render = cli._RENDER["text"]["solve"]
         cases = [(), *solve([], [6, 9]), *solve([4, 9], [11, 14]), *solve([3], [7, 11])]
         for c in cases:
-            assert render(c) == format_text(solution_record(c)), c
+            assert render(cli._complement(c)) == format_text(solution_record(c)), c
 
     def test_json_lines_dump_the_records(self):
         s = sg([4, 6, 9])
         assert cli._RENDER["json"]["semigroup"](s) == json.dumps(semigroup_record(s))
         c = s.gaps()
-        assert cli._RENDER["json"]["solution"](c) == json.dumps(solution_record(c))
+        assert cli._RENDER["json"]["solve"](cli._complement(c)) == json.dumps(solution_record(c))
 
     def test_json_semigroup_lines_match_the_dumps(self):
         render = cli._RENDER["json"]["semigroup"]

@@ -12,7 +12,6 @@ from numsem.core import (
     Submonoid,
     contains_genset,
     gap_key,
-    gap_rank,
 )
 from numsem.irreducible import (
     children,
@@ -30,14 +29,14 @@ sg = NumericalSemigroup.from_generators
 
 
 def tree_walk(ctx):
-    """Reference: every node reached by children from the root, sorted by gap_rank."""
+    """Reference: every node reached by children from the root, sorted by gap_key."""
     nodes, stack = [], [ctx.root]
     while stack:
         s = stack.pop()
         nodes.append(s)
         stack.extend(children(s, ctx))
     assert len(set(nodes)) == len(nodes), "the tree reached a node twice"
-    return sorted(nodes, key=gap_rank)
+    return sorted(nodes, key=gap_key)
 
 
 class TestIsIrreducible:

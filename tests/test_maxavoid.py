@@ -16,6 +16,7 @@ from numsem.core import (
     contains_genset,
     gap_key,
 )
+from numsem.classes import enumerate_with_frobenius
 from numsem.irreducible import enumerate_irreducibles
 from numsem.maxavoid import (
     _pareto_minimal_coords,
@@ -219,6 +220,10 @@ class TestMaximalAvoiding:
         )
         assert len(maximal_avoiding([4, 9], [11, 14])) == 1
         assert calls == [((4, 9), 14)]
+        for query in (enumerate_irreducibles, enumerate_with_frobenius):
+            calls.clear()
+            assert query([4, 9], 14)
+            assert calls == [((4, 9), 14)]
 
     def test_asserts_catch_a_result_that_meets_the_forbidden_set(self, monkeypatch):
         # The bottom {0, 5} meets B; its mirror fill {0, 4, 5, 6} is closed.
