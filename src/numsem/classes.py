@@ -37,7 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors
-from .core import NumericalSemigroup, Submonoid, _bit_positions, contains_genset, gap_key
+from .core import (
+    NumericalSemigroup,
+    Submonoid,
+    _bit_positions,
+    _leaf_chunks,
+    contains_genset,
+    gap_key,
+)
 from .irreducible import IrreducibleContext, _search, make_context
 
 MAX_REMOVABLE = 30
@@ -134,15 +141,21 @@ def frobenius_class(s: NumericalSemigroup, ctx: IrreducibleContext) -> Frobenius
     return FrobeniusClass(s, bottom, removable, tuple(members))
 
 
+def _semigroup_chunks(required, frobenius: int):
+    """The checked chunks (see core._leaf_chunks) of the leaves of the prefix search over [1, F).
+
+    Feasibility is checked at the call, not on the first chunk.
+    """
+    ctx = make_context(required, frobenius)
+    return _leaf_chunks(frobenius, _search(ctx.monoid.member_mask(), frobenius, frobenius - 1))
+
+
 def enumerate_with_frobenius(required, frobenius: int) -> list[NumericalSemigroup]:
     """Every numerical semigroup with Frobenius number F containing the required set.
 
-    The leaves of the prefix search over [1, F), each rebuilt through the
-    closure-checking mask constructor; gap order by construction.  Raises
-    Infeasible when F is generated by the required set.
+    The leaves of the prefix search over [1, F), checked a chunk at a time
+    as from_mask checks one bitmap, with their minimal generators cached;
+    gap order by construction.  Raises Infeasible when F is generated by
+    the required set.
     """
-    ctx = make_context(required, frobenius)
-    return [
-        NumericalSemigroup.from_mask(frobenius, mask)
-        for mask in _search(ctx.monoid.member_mask(), frobenius, frobenius - 1)
-    ]
+    return [s for leaves in _semigroup_chunks(required, frobenius) for s in leaves.semigroups()]

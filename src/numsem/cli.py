@@ -17,25 +17,32 @@ not apply.  Output is byte-identical across runs for identical inputs.
 and every run is single-threaded whatever its value.
 
 The argument parser is built once per process, on the first :func:`run`
-call, and reused by every later call.  Each result is rendered as it is
-written, text and JSON alike, straight off the semigroup's member bitmap
-and its minimal generators, which ``from_mask`` caches as it validates
-a result: a text line equals ``format_text`` of the record dict, and a JSON
-line equals ``json.dumps`` of it.  ``solve`` renders the maximal
-avoiders themselves as solution-set records, since each solution is the
-gap set of one avoider, and ``oracle hitting-sets`` renders the
-complement semigroup of each of its solution sets the same way; the
-record builders below stay as the reference for the library and the
-tests.  ``--limit K`` renders and writes only K records, but the
-enumeration still runs to the end, since the stderr note reports the
-total.
+call, and reused by every later call.  Results stream to stdout a
+chunk at a time: each query yields the search leaves in chunks of
+``core.CHUNK`` member bitmaps, packed one block per leaf into one int,
+and ``core._check_leaves`` validates a whole chunk at once (bit 0 set,
+bit F clear, nothing above F, and additive closure on the sums of the
+minimal-generator scan), one bigint operation per column over every
+leaf.  A chunk's lines are read off its packed generators and members:
+one ``compress``/``join`` per field lists the minimal generators and
+the gaps of every leaf, and one format call per record writes the line.
+A text line equals ``format_text`` of the record dict, and a JSON line
+equals ``json.dumps`` of it.  ``solve`` renders the maximal avoiders
+themselves as solution-set records, since each solution is the gap set
+of one avoider, and the oracle subcommands render their results through
+the same chunks; the record builders below stay as the reference for the
+library and the tests.  ``--limit K`` renders and writes only K records,
+but every leaf is still checked and counted, since the stderr note
+reports the total.  The oracle subcommands take the same usage and
+capacity checks as the main commands.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible input (the diagnostic
 names a witness combination; the oracle subcommands that find nothing
 report the same one), 3 capacity error.
 
-The full semigroup reports the conventional Frobenius number -1 here;
-internally it is encoded as 0 with no gaps.
+The record builders report the conventional Frobenius number -1 for
+the full semigroup, internally encoded as 0 with no gaps; no subcommand
+prints it, since -F and max(B) are positive.
 """
 
 from __future__ import annotations
@@ -43,15 +50,18 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import struct
 import sys
-from itertools import compress
+from itertools import compress, cycle
 
 from . import errors, oracle
-from .classes import enumerate_with_frobenius
-from .core import NumericalSemigroup, _coin_table, normalize_genset
+from .classes import _semigroup_chunks
+from .classes import enumerate_with_frobenius  # noqa: F401  bench/tracer.py wraps it here
+from .core import NumericalSemigroup, _coin_table, _fold, _leaf_chunks, _Leaves, _ones
 from .frontier import solve  # noqa: F401  bench/tracer.py wraps it in this namespace
-from .irreducible import enumerate_irreducibles
-from .maxavoid import maximal_avoiding
+from .irreducible import _irreducible_chunks
+from .maxavoid import _avoider_masks, _forbidden
+from .maxavoid import maximal_avoiding  # noqa: F401  bench/tracer.py wraps it here
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,57 +190,61 @@ def format_text(record: dict) -> str:
     return f"<{msg}> | F={record['frobenius']} g={record['genus']} gaps={{{gaps}}}"
 
 
-# str(i) for every number a semigroup line can hold: gaps are at most F,
-# and minimal generators at most F + m <= 2F + 1.
-_NUMERALS = [str(i) for i in range(2 * max(MAX_FROBENIUS_INPUT, MAX_FORBIDDEN_INPUT) + 2)]
-# Turns the binary digits of a member bitmap into 1 at a gap and 0 at a member.
-_GAP_FLAGS = bytes.maketrans(b"01", b"\1\0")
+# Turn the binary digits of a bitmap into byte 1 at a set bit, or at a clear one.
+_SET_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_CLEAR_FLAGS = bytes.maketrans(b"01", b"\1\0")
+
+# The separator of the numbers in a line, by output format.
+_SEPARATORS = {"text": ",", "json": ", "}
 
 
-def _numerals(s: NumericalSemigroup, sep: str) -> tuple[str, str]:
-    """The minimal generators and the gaps of s, each joined by sep, read off the bitmap."""
-    frob = s.frobenius
-    assert 2 * frob + 1 < len(_NUMERALS), frob
-    # Character i of the reversed binary string is bit i of the mask.
-    flags = f"{s.member_mask():0{frob + 1}b}"[::-1].encode().translate(_GAP_FLAGS)
-    msg = sep.join(map(_NUMERALS.__getitem__, s.minimal_generators()))
-    return msg, sep.join(compress(_NUMERALS, flags))
+@functools.cache
+def _tokens(sep: str) -> list[str]:
+    """A newline, then sep + str(i) for every number a line can hold.
 
-
-def _semigroup_line(s: NumericalSemigroup) -> str:
-    """``format_text(semigroup_record(s))``, read off the member bitmap."""
-    msg, gaps = _numerals(s, ",")
-    return f"<{msg}> | F={frobenius_display(s)} g={s.genus} gaps={{{gaps}}}"
-
-
-def _json_line(s: NumericalSemigroup, kind: str) -> str:
-    """``json.dumps`` of the record of s, read off the member bitmap.
-
-    A solution-set record is the one of its complement s, with elements
-    equal to gaps: ``json.dumps(solution_record(s.gaps()))``.
+    Gaps are at most F, and minimal generators at most F + m <= 2F + 1.
     """
-    msg, gaps = _numerals(s, ", ")
-    elements = f"[{gaps}]" if kind == "solution-set" else "null"
-    return (f'{{"kind": "{kind}", "msg": [{msg}], "frobenius": {frobenius_display(s)}, '
-            f'"genus": {s.genus}, "gaps": [{gaps}], "elements": {elements}}}')
+    top = 2 * max(MAX_FROBENIUS_INPUT, MAX_FORBIDDEN_INPUT) + 1
+    return ["\n"] + [sep + str(i) for i in range(1, top + 1)]
 
 
-# The line of one result, by output format and result kind: a semigroup,
-# a semigroup whose gaps are a solution set, or a partition.  Only
-# partitions go through a record dict, looked up at call time, so
-# wrappers installed on it apply.
-_RENDER = {
-    "text": {
-        "semigroup": _semigroup_line,
-        "solve": _semigroup_line,
-        "partition": lambda p: format_text(partition_record(p)),
-    },
-    "json": {
-        "semigroup": lambda s: _json_line(s, "semigroup"),
-        "solve": lambda s: _json_line(s, "solution-set"),
-        "partition": lambda p: json.dumps(partition_record(p)),
-    },
-}
+def _fields(packed: int, count: int, stride: int, width: int, flags: bytes, sep: str) -> list[str]:
+    """For each of count blocks, its positions below width marked by the flags table, joined by sep.
+
+    Position 0 must be marked in every block: its newline starts the
+    block's field.  Character i of the reversed binary string is bit i,
+    and struct keeps the first width characters of each block.
+    """
+    tokens = _tokens(sep)
+    assert width <= len(tokens), width
+    digits = f"{packed:0{count * stride}b}"[::-1].encode()
+    marks = b"".join(struct.unpack(f"{width}s{stride - width}x" * count, digits)).translate(flags)
+    return "".join(compress(cycle(tokens[:width]), marks)).split("\n" + sep)[1:]
+
+
+def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
+    """The lines of the first count leaves of a chunk, as records of the kind, newline included.
+
+    Bit 0, never a gap or a generator, marks the start of each leaf.  The
+    genus is the number of gaps, one more than the separators between them.
+    """
+    frob, stride, sep = leaves.frobenius, leaves.stride, _SEPARATORS[fmt]
+    first = (1 << count * stride) - 1
+    ones = _ones(count, stride)
+    generators = leaves.generators & first
+    width = _fold(generators, count, stride).bit_length()
+    msgs = _fields(generators | ones, count, stride, width, _SET_FLAGS, sep)
+    gaps = _fields(leaves.members & first ^ ones, count, stride, frob + 1, _CLEAR_FLAGS, sep)
+    if fmt == "text":
+        mid = f"> | F={frob} g="
+        return "".join([f"<{m}{mid}{g.count(sep) + 1} gaps={{{g}}}\n" for m, g in zip(msgs, gaps)])
+    head = f'{{"kind": "{kind}", "msg": ['
+    mid = f'], "frobenius": {frob}, "genus": '
+    solution = kind == "solution-set"
+    return "".join([f'{head}{m}{mid}{g.count(sep) + 1}, "gaps": [{g}], '
+                    f'"elements": {f"[{g}]" if solution else "null"}}}\n'
+                    for m, g in zip(msgs, gaps)])
+
 
 # The required option of each query subcommand besides -A, with its settings.
 _BOUNDS = {"-F": {"type": int}, "-B": {"metavar": "INTS"}}
@@ -280,51 +294,65 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args):
-    """The results of the query, and the function that renders one result as a line."""
-    required = _parse_intlist(getattr(args, "A", ""), "-A")
-    render = _RENDER[args.format]
+    """The results of the query in batches, and the function that renders a batch's first records.
 
-    if args.command == "irreducibles":
+    Every usage, capacity and feasibility check runs here, before the
+    first batch, so a failing query writes nothing to stdout.
+    """
+    command = args.oracle_command if args.command == "oracle" else args.command
+    if command == "partitions":
+        line = format_text if args.format == "text" else json.dumps
+        return [oracle.partitions(args.target)], lambda parts, count: "".join(
+            line(partition_record(p)) + "\n" for p in parts[:count])
+
+    required = _parse_intlist(args.A, "-A")
+    if command in ("irreducibles", "semigroups"):
         _check_caps(args.F, None)
-        return enumerate_irreducibles(required, args.F), render["semigroup"]
-
-    if args.command == "semigroups":
-        _check_caps(args.F, None)
-        return enumerate_with_frobenius(required, args.F), render["semigroup"]
-
-    if args.command == "maximal":
+        frobenius, targets = args.F, (args.F,)
+    else:
         forbidden = _parse_intlist(args.B, "-B")
         _check_caps(None, forbidden)
-        return maximal_avoiding(required, forbidden), render["semigroup"]
+        targets = _forbidden(forbidden)
+        frobenius = targets[-1]
+    kind = "solution-set" if command in ("solve", "hitting-sets") else "semigroup"
 
-    if args.command == "solve":
-        forbidden = _parse_intlist(args.B, "-B")
-        _check_caps(None, forbidden)
-        # The solutions are the gap sets of the maximal avoiders.
-        avoiders = maximal_avoiding(required, forbidden)
-        assert len({s.member_mask() for s in avoiders}) == len(avoiders)
-        return avoiders, render["solve"]
+    def render(leaves, count):
+        return _render(leaves, count, args.format, kind)
 
     if args.command == "oracle":
-        if args.oracle_command == "partitions":
-            return oracle.partitions(args.target), render["partition"]
-        if args.oracle_command == "hitting-sets":
-            targets = normalize_genset(_parse_intlist(args.B, "-B"))
-            hitting = oracle.minimal_hitting_sets(required, targets)
-            results, kind = [_complement(c) for c in hitting], "solve"
-        else:
-            targets = (args.F,)
-            if args.oracle_command == "semigroups":
-                results = oracle.all_semigroups_with_frobenius(args.F, required)
-            else:
-                results = oracle.irreducibles_bruteforce(args.F, required)
-            kind = "semigroup"
-        if not results:
-            # Empty exactly when A generates F or some b: raise that witness.
-            _coin_table(required, targets)
-        return results, render[kind]
+        return _leaf_chunks(frobenius, _oracle_masks(command, required, frobenius, targets)), render
+    if command == "irreducibles":
+        return _irreducible_chunks(required, frobenius), render
+    if command == "semigroups":
+        return _semigroup_chunks(required, frobenius), render
+    _, masks = _avoider_masks(required, targets)
+    if command == "solve":
+        # The solutions are the gap sets of the maximal avoiders.
+        masks = list(masks)
+        assert len(set(masks)) == len(masks)
+    return _leaf_chunks(frobenius, masks), render
 
-    raise _UsageError(f"unknown command {args.command!r}")
+
+def _oracle_masks(command: str, required, frobenius: int, targets) -> list[int]:
+    """The member bitmaps of the brute-force results, on [0, F].
+
+    A solution set of hitting-sets is the gap set of a maximal avoider,
+    whose Frobenius number is max(B).  No result means that A generates
+    F or some b, and that witness is raised.
+    """
+    if command == "hitting-sets":
+        full = (2 << frobenius) - 1
+        hitting = oracle.minimal_hitting_sets(required, targets)
+        masks = [full ^ sum(1 << g for g in c) for c in hitting]
+    else:
+        if command == "semigroups":
+            results = oracle.all_semigroups_with_frobenius(frobenius, required)
+        else:
+            results = oracle.irreducibles_bruteforce(frobenius, required)
+        masks = [s.member_mask() for s in results]
+    if not masks:
+        _coin_table(required, targets)
+    return masks
 
 
 def run(argv=None) -> int:
@@ -343,7 +371,7 @@ def run(argv=None) -> int:
             raise _UsageError("--parallel expects a positive worker count")
         if args.limit is not None and args.limit < 0:
             raise _UsageError("--limit expects a non-negative count")
-        results, render = _dispatch(args)
+        batches, render = _dispatch(args)
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -354,20 +382,26 @@ def run(argv=None) -> int:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
 
-    emitted = results
-    if args.limit is not None and len(results) > args.limit:
-        emitted = results[: args.limit]
-        print(
-            f"output truncated to {args.limit} of {len(results)} records",
-            file=sys.stderr,
-        )
     write = sys.stdout.write
-    for item in emitted:
-        write(render(item) + "\n")
+    total = 0
+    for batch in batches:
+        count = len(batch)
+        if args.limit is not None:
+            count = max(0, min(count, args.limit - total))
+        if count:
+            write(render(batch, count))
+        total += len(batch)
+    if args.limit is not None and total > args.limit:
+        print(f"output truncated to {args.limit} of {total} records", file=sys.stderr)
     return EXIT_OK
 
 
 def main() -> None:
+    import signal
+
+    # End quietly, as other filters do, when the reader of stdout goes away.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, islice, repeat
 
 from . import errors
 
@@ -206,14 +206,22 @@ class NumericalSemigroup:
 
         Checks what the raw constructor checks, then additive closure, on
         the sums of the scan that finds the minimal generators, which are
-        cached.  That scan shifts the members by each member x up to
-        (F + m)/2, past F/2, where the smaller summand of any violating
-        pair lies, so the bitmap is closed iff no sum is a gap.  The
-        reported ClosureViolation pair is the one of the first violating
-        x, as for a scan over all of [1, F].
+        cached.  That scan (see _scan) shifts the members by each member x
+        up to (F + m)/2, past F/2, where the smaller summand of any
+        violating pair lies, so the bitmap is closed iff no sum is a gap.
+        Only a failing bitmap is scanned again, for the ClosureViolation
+        pair of its first violating x, as for a scan over all of [1, F].
         """
         s = cls(frobenius, mask)
-        s._scan_generators(check=True)
+        window, sums = _scan(frobenius, mask, 1)
+        gaps = ~mask & ((1 << (frobenius + 1)) - 1)
+        if sums & gaps:
+            for x in _bit_positions(window):
+                bad = (window << x) & gaps
+                if bad:
+                    y = (bad & -bad).bit_length() - 1 - x
+                    raise errors.ClosureViolation(min(x, y), max(x, y))
+        s._msg = tuple(_bit_positions(window & ~sums))
         return s
 
     @classmethod
@@ -295,37 +303,13 @@ class NumericalSemigroup:
         x > F + m splits as m + (x - m) with x - m > F a member.  So the
         window [1, F + m] is exhaustive, and the smaller summand of any sum
         inside it is at most (F + m)/2.  The full semigroup gives (1,).
-        The result is cached; :meth:`from_mask` fills the cache while it
-        checks closure.
+        The result is cached; :meth:`from_mask` and the chunk check of
+        search leaves (see _check_leaves) fill the cache as they validate.
         """
         if self._msg is None:
-            self._scan_generators(check=False)
+            window, sums = _scan(self.frobenius, self._mask, 1)
+            self._msg = tuple(_bit_positions(window & ~sums))
         return self._msg
-
-    def _scan_generators(self, check: bool) -> None:
-        """Cache the minimal generators; with check, raise on the first closure violation.
-
-        The sums of minimal_generators are the shifts of the members by
-        each member x <= (F + m)/2.  With check, they are tested against
-        the gaps on [1, F] once, after the loop (see from_mask); only a
-        failing bitmap is scanned again, for its first violating x.
-        """
-        frob = self.frobenius
-        # F + m, where m, the least nonzero member, is at most F + 1.
-        nonzero = self.member_mask(frob + 1) & ~1
-        window = frob + (nonzero & -nonzero).bit_length() - 1
-        members = self.member_mask(window) & ~1
-        sums = 0
-        for x in _bit_positions(members & ((2 << (window // 2)) - 1)):
-            sums |= members << x
-        gaps = ~self._mask & ((1 << (frob + 1)) - 1) if check else 0
-        if sums & gaps:
-            for x in _bit_positions(members):
-                bad = (members << x) & gaps
-                if bad:
-                    y = (bad & -bad).bit_length() - 1 - x
-                    raise errors.ClosureViolation(min(x, y), max(x, y))
-        self._msg = tuple(_bit_positions(members & ~sums))
 
     def issubset(self, other: "NumericalSemigroup") -> bool:
         """Set inclusion; integers above both Frobenius numbers are shared."""
@@ -347,6 +331,164 @@ class NumericalSemigroup:
 
 
 FULL_SEMIGROUP = NumericalSemigroup(0, 1)
+
+# Search leaves are checked, scanned and rendered this many at a time.
+CHUNK = 256
+
+# Reverses the order of the bits of a byte.
+_BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _stride(frobenius: int) -> int:
+    """Bits per bitmap in a packed chunk: the least multiple of 8 above 3F + 1.
+
+    The sums of _scan reach 3F + 1, so no shift leaves its own block.
+    """
+    return (3 * frobenius + 9) // 8 * 8
+
+
+def _ones(count: int, stride: int) -> int:
+    """The packed chunk with bit 0 set in each of its count blocks."""
+    return int.from_bytes((b"\1" + bytes(stride // 8 - 1)) * count, "little")
+
+
+def _pack(frobenius: int, masks: list[int], fill: bool = False) -> int:
+    """The bitmaps on [0, F] as one int, bitmap i in block i of _stride(F) bits.
+
+    With fill, each bitmap is the lower half of an irreducible, and every
+    x in (F/2, F) whose mirror F - x it lacks is added to it.  Reversing
+    all the bits of the blocks taken in reverse order turns bit y of
+    bitmap i into bit stride - 1 - y of block i, so one shift puts each
+    mirror F - y in place.  See _refuse for a bitmap that does not fit.
+    """
+    stride = _stride(frobenius)
+    try:
+        blocks = list(map(int.to_bytes, masks, repeat(stride // 8), repeat("little")))
+    except OverflowError:
+        _refuse(frobenius, masks)
+    packed = int.from_bytes(b"".join(blocks), "little")
+    if fill:
+        mirror = int.from_bytes(b"".join(reversed(blocks)).translate(_BIT_REVERSE), "big")
+        upper = _ones(len(masks), stride) * ((1 << frobenius) - (1 << (frobenius // 2 + 1)))
+        packed |= upper & ~(mirror >> (stride - 1 - frobenius))
+    return packed
+
+
+def _unpack(packed: int, count: int, stride: int) -> list[int]:
+    """The count blocks of a packed chunk, in order."""
+    width = stride // 8
+    data = packed.to_bytes(count * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+
+def _fold(packed: int, count: int, stride: int) -> int:
+    """The OR of the count blocks of a packed chunk."""
+    while count > 1:
+        half = (count + 1) // 2
+        packed = packed >> half * stride | packed & ((1 << half * stride) - 1)
+        count = half
+    return packed
+
+
+def _scan(frobenius: int, members: int, count: int) -> tuple[int, int]:
+    """The window members of each packed bitmap on [0, F], and the sums of their generator scan.
+
+    Block i's window is [1, F + m], m its least nonzero member, which is
+    at most F + 1 (see minimal_generators).  A guard bit at F + 1 makes
+    bit m the lowest set bit of the nonzero members, found in every block
+    by one subtraction.  Each column x, a member of some block up to
+    (F + max m)/2, adds the sums x + y of every block holding x in one
+    shift.  A shift past a block's own (F + m)/2 adds only true sums, so
+    the minimal generators (the window members that are no sum) and the
+    closure verdict (no sum is a gap) are those of each block alone.
+    """
+    stride = _stride(frobenius)
+    ones = _ones(count, stride)
+    nonzero = members & ~ones
+    guarded = nonzero | ones << (frobenius + 1)
+    least = guarded & ~(guarded - ones)
+    window = nonzero | (least - ones) << (frobenius + 1)
+    # The top bit of the OR of the windows is F + max m.
+    columns = _fold(window, count, stride)
+    sums = 0
+    for x in _bit_positions(columns & ((2 << (columns.bit_length() - 1) // 2) - 1)):
+        held = window >> x & ones
+        sums |= (window & ((held << stride) - held)) << x
+    return window, sums
+
+
+class _Leaves:
+    """A checked chunk of bitmaps with one Frobenius number F, packed one block per bitmap.
+
+    Block i of members holds bitmap i on [0, F], and block i of
+    generators its minimal generators.
+    """
+
+    __slots__ = ("frobenius", "count", "stride", "members", "generators")
+
+    def __init__(self, frobenius: int, count: int, members: int, generators: int):
+        self.frobenius = frobenius
+        self.count = count
+        self.stride = _stride(frobenius)
+        self.members = members
+        self.generators = generators
+
+    def __len__(self) -> int:
+        return self.count
+
+    def semigroups(self) -> list[NumericalSemigroup]:
+        """The semigroups, built by the raw constructor, with their minimal generators cached."""
+        out = []
+        for mask, gens in zip(_unpack(self.members, self.count, self.stride),
+                              _unpack(self.generators, self.count, self.stride)):
+            s = NumericalSemigroup(self.frobenius, mask)
+            s._msg = tuple(_bit_positions(gens))
+            out.append(s)
+        return out
+
+
+def _check_leaves(frobenius: int, members: int, count: int) -> _Leaves:
+    """Validate count packed bitmaps on [0, F] at once, and find their minimal generators.
+
+    The checks of from_mask, each one AND over the chunk: bit 0 set, bit
+    F clear and nothing above F, then no sum of the scan on a gap.  F
+    must be positive.
+    """
+    stride = _stride(frobenius)
+    ones = _ones(count, stride)
+    span = ones * ((2 << frobenius) - 1)  # [0, F] in every block
+    raw = members & ones == ones and not members & (ones << frobenius | ~span)
+    window, sums = _scan(frobenius, members, count)
+    if not raw or sums & span & ~members:
+        _refuse(frobenius, _unpack(members, count, stride))
+    return _Leaves(frobenius, count, members, window & ~sums)
+
+
+def _refuse(frobenius: int, masks: list[int]):
+    """Rebuild, one at a time, the bitmaps of a chunk that failed a check.
+
+    So the first bad bitmap raises what from_mask raises for it.
+    """
+    for mask in masks:
+        NumericalSemigroup.from_mask(frobenius, mask)
+    raise AssertionError("a chunk check failed that no bitmap fails")
+
+
+def _batches(items):
+    """The items in lists of CHUNK, the last one shorter."""
+    items = iter(items)
+    while batch := list(islice(items, CHUNK)):
+        yield batch
+
+
+def _leaf_chunks(frobenius: int, masks, fill: bool = False):
+    """Check the bitmaps on [0, F], CHUNK at a time, and yield each chunk as _Leaves.
+
+    With fill, each bitmap is the lower half of an irreducible, and the
+    chunk holds its mirror fill.
+    """
+    for batch in _batches(masks):
+        yield _check_leaves(frobenius, _pack(frobenius, batch, fill), len(batch))
 
 
 def _from_table(table: Submonoid) -> NumericalSemigroup:

@@ -44,7 +44,14 @@ import math
 from dataclasses import dataclass
 
 from . import errors
-from .core import NumericalSemigroup, Submonoid, _add_generator, _coin_table
+from .core import (
+    NumericalSemigroup,
+    Submonoid,
+    _add_generator,
+    _coin_table,
+    _leaf_chunks,
+    _pack,
+)
 
 
 @dataclass(frozen=True)
@@ -83,14 +90,7 @@ def irreducible_closure(s: NumericalSemigroup) -> NumericalSemigroup:
     """
     if s.is_full:
         raise errors.FullSemigroup("the full semigroup has no gaps to fill")
-    return NumericalSemigroup(s.frobenius, _mirror_fill(s.member_mask(), s.frobenius))
-
-
-def _mirror_fill(mask: int, frobenius: int) -> int:
-    """The bitmap with every x in (F/2, F) added whose mirror F - x is outside it."""
-    mirror = int(f"{mask:0{frobenius + 1}b}"[::-1], 2)
-    upper = (1 << frobenius) - (1 << (frobenius // 2 + 1))
-    return mask | upper & ~mirror
+    return NumericalSemigroup(s.frobenius, _pack(s.frobenius, [s.member_mask()], fill=True))
 
 
 def _search(mask: int, frobenius: int, last: int, avoid: int = 0):
@@ -127,7 +127,7 @@ def make_context(required, frobenius: int) -> IrreducibleContext:
     if frobenius < 1:
         raise ValueError("the Frobenius number must be positive")
     monoid = _coin_table(required, (frobenius,))
-    root = NumericalSemigroup(frobenius, _mirror_fill(monoid.member_mask(), frobenius))
+    root = NumericalSemigroup(frobenius, _pack(frobenius, [monoid.member_mask()], fill=True))
     return IrreducibleContext(monoid.generators, frobenius, monoid, root)
 
 
@@ -183,13 +183,20 @@ def children(s: NumericalSemigroup, ctx: IrreducibleContext) -> list[NumericalSe
     return out
 
 
-def _expand_levels(ctx: IrreducibleContext) -> list[NumericalSemigroup]:
-    """Every irreducible of the context, in gap order: the mirror fills of the lower halves."""
-    frob = ctx.frobenius
-    return [
-        NumericalSemigroup(frob, _mirror_fill(half, frob))
-        for half in _search(ctx.monoid.member_mask(), frob, (frob - 1) // 2)
-    ]
+def _irreducible_chunks(required, frobenius: int):
+    """The checked chunks of irreducibles (see core._leaf_chunks), in gap order.
+
+    Feasibility is checked at the call, not on the first chunk.  Each
+    chunk holds the mirror fills of CHUNK lower halves.
+    """
+    ctx = make_context(required, frobenius)
+    halves = _search(ctx.monoid.member_mask(), frobenius, (frobenius - 1) // 2)
+    return _leaf_chunks(frobenius, halves, fill=True)
+
+
+def _expand_levels(required, frobenius: int) -> list[NumericalSemigroup]:
+    """Every irreducible of the problem, in gap order, with its minimal generators cached."""
+    return [s for leaves in _irreducible_chunks(required, frobenius) for s in leaves.semigroups()]
 
 
 def enumerate_irreducibles(required, frobenius: int) -> list[NumericalSemigroup]:
@@ -198,4 +205,4 @@ def enumerate_irreducibles(required, frobenius: int) -> list[NumericalSemigroup]
     Raises Infeasible when F itself is generated by the required set.
     Output is sorted by gap list.
     """
-    return _expand_levels(make_context(required, frobenius))
+    return _expand_levels(required, frobenius)

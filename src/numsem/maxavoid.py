@@ -50,13 +50,18 @@ from .core import (
     AperyVector,
     NumericalSemigroup,
     _add_generator,
+    _batches,
     _bit_positions,
     _coin_table,
+    _leaf_chunks,
+    _pack,
+    _stride,
+    _unpack,
     apery_vector,
     normalize_genset,
     semigroup_from_apery_vector,  # noqa: F401  bench/tracer.py wraps it in this namespace
 )
-from .irreducible import _mirror_fill, _search, enumerate_irreducibles
+from .irreducible import _search, enumerate_irreducibles
 
 
 @dataclass(frozen=True)
@@ -68,11 +73,17 @@ class AvoidanceProblem:
     modulus: int
 
 
-def make_problem(required, forbidden) -> AvoidanceProblem:
-    """Normalize and validate; Infeasible carries the witness combination."""
-    forbidden = normalize_genset(forbidden)
+def _forbidden(raw) -> tuple[int, ...]:
+    """The normalized forbidden set; ValueError when it holds no positive integer."""
+    forbidden = normalize_genset(raw)
     if not forbidden:
         raise ValueError("the forbidden set must contain a positive integer")
+    return forbidden
+
+
+def make_problem(required, forbidden) -> AvoidanceProblem:
+    """Normalize and validate; Infeasible carries the witness combination."""
+    forbidden = _forbidden(forbidden)
     monoid = _coin_table(required, forbidden)
     return AvoidanceProblem(monoid.generators, forbidden, forbidden[-1] + 1)
 
@@ -115,36 +126,50 @@ def pareto_minimal(vectors) -> list[AperyVector]:
 def maximal_avoiding(required, forbidden) -> list[NumericalSemigroup]:
     """All maximal semigroups containing the required set and avoiding the forbidden one.
 
-    One candidate per class bottom, a leaf of the prefix search with
-    Frobenius number t = max(forbidden) that avoids the forbidden set,
-    kept when, for every gap t - d left by a removed d, the monoid
-    generated by it and the candidate meets the forbidden set (see the
-    module docstring for why no other gap needs the test).  Raises
-    Infeasible when a forbidden value is generated by the required set.
-    Output is sorted by gap list.  Every returned semigroup is rebuilt
-    from its bitmap through the closure-checked constructor, which also
-    caches its minimal generators; callers need not validate it again.
+    The bitmaps of _avoider_masks, checked a chunk at a time as
+    from_mask checks one bitmap, with their minimal generators cached;
+    callers need not validate them again.  Raises Infeasible when a
+    forbidden value is generated by the required set.  Output is sorted
+    by gap list.
     """
-    forbidden = normalize_genset(forbidden)
-    if not forbidden:
-        raise ValueError("the forbidden set must contain a positive integer")
+    t, masks = _avoider_masks(required, forbidden)
+    return [s for leaves in _leaf_chunks(t, masks) for s in leaves.semigroups()]
+
+
+def _avoider_masks(required, forbidden):
+    """t = max(forbidden), and an iterator over the member bitmaps of the maximal avoiders.
+
+    One candidate per class bottom, a leaf of the prefix search with
+    Frobenius number t that avoids the forbidden set, kept when, for
+    every gap t - d left by a removed d, the monoid generated by it and
+    the candidate meets the forbidden set (see the module docstring for
+    why no other gap needs the test).  Feasibility is checked at the
+    call, not on the first bitmap.  The bitmaps come in gap order.
+    """
+    forbidden = _forbidden(forbidden)
     monoid = _coin_table(required, forbidden)
     t = forbidden[-1]
-    avoid = sum(1 << b for b in forbidden)
+    return t, _candidates(monoid, t, sum(1 << b for b in forbidden))
+
+
+def _candidates(monoid, t: int, avoid: int):
+    """The maximal avoiders of the bitmap avoid on [0, t] over the monoid (see _avoider_masks).
+
+    The class tops, the mirror fills of the bottoms, are filled a chunk at a time.
+    """
     need = sum(1 << a for a in monoid.generators if a <= t)
-    result = []
-    for bottom in _search(monoid.member_mask(), t, (t - 1) // 2, avoid):
-        mask = _mirror_fill(bottom, t)
-        hit = mask & avoid  # X = B & D, since bottom avoids B
-        if hit:
-            # the removable d with x - d in bottom for some x in X
-            down = sum(1 << d for d in _bit_positions(mask & ~bottom) if bottom << d & hit)
-            mask &= ~down
-            # adding the gap t - d must generate some b in B
-            if not all(_add_generator(mask, t - d, t) & avoid for d in _bit_positions(down)):
-                continue
-        # contains_genset and avoids_genset, on the bitmap
-        assert mask & need == need, mask
-        assert not mask & avoid, mask
-        result.append(NumericalSemigroup.from_mask(t, mask))
-    return result
+    for bottoms in _batches(_search(monoid.member_mask(), t, (t - 1) // 2, avoid)):
+        tops = _unpack(_pack(t, bottoms, fill=True), len(bottoms), _stride(t))
+        for bottom, mask in zip(bottoms, tops):
+            hit = mask & avoid  # X = B & D, since bottom avoids B
+            if hit:
+                # the removable d with x - d in bottom for some x in X
+                down = sum(1 << d for d in _bit_positions(mask & ~bottom) if bottom << d & hit)
+                mask &= ~down
+                # adding the gap t - d must generate some b in B
+                if not all(_add_generator(mask, t - d, t) & avoid for d in _bit_positions(down)):
+                    continue
+            # contains_genset and avoids_genset, on the bitmap
+            assert mask & need == need, mask
+            assert not mask & avoid, mask
+            yield mask

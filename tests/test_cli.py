@@ -23,7 +23,7 @@ from numsem.cli import (
     semigroup_record,
     solution_record,
 )
-from numsem.core import FULL_SEMIGROUP, NumericalSemigroup
+from numsem.core import CHUNK, FULL_SEMIGROUP, NumericalSemigroup, _leaf_chunks
 from numsem.frontier import solve
 from numsem.maxavoid import maximal_avoiding
 
@@ -34,6 +34,13 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def chunk_lines(semigroups, fmt="text", kind="semigroup"):
+    """The lines the chunk renderer writes for semigroups with one Frobenius number."""
+    masks = [s.member_mask() for s in semigroups]
+    chunks = _leaf_chunks(semigroups[0].frobenius, masks)
+    return "".join(cli._render(leaves, len(leaves), fmt, kind) for leaves in chunks).splitlines()
 
 
 class TestIrreducibles:
@@ -104,8 +111,10 @@ class TestMaximalAndSolve:
         assert record["msg"] == [4, 9, 15]
 
     def test_solve_asserts_distinct_solutions(self, monkeypatch):
-        s = sg([4, 9, 15])
-        monkeypatch.setattr(cli, "maximal_avoiding", lambda required, forbidden: [s, s])
+        mask = sg([4, 9, 15]).member_mask()
+        monkeypatch.setattr(
+            cli, "_avoider_masks", lambda required, forbidden: (14, iter([mask, mask]))
+        )
         with pytest.raises(AssertionError):
             run(["solve", "-A", "4,9", "-B", "11,14"])
 
@@ -173,6 +182,22 @@ class TestOracleSubcommands:
         assert err.startswith("infeasible: ") and "∈ ⟨A⟩" in err
         assert invoke(capsys, *main) == (code, out, err)
 
+    @pytest.mark.parametrize(
+        "query, main",
+        [
+            (("hitting-sets", "-B", "0"), ("solve", "-B", "0")),
+            (("hitting-sets", "-A", "4", "-B", ""), ("maximal", "-A", "4", "-B", "")),
+            (("hitting-sets", "-B", "5,300"), ("solve", "-B", "5,300")),
+            (("semigroups", "-F", "0"), ("semigroups", "-F", "0")),
+            (("irreducibles", "-A", "4", "-F", "0"), ("irreducibles", "-A", "4", "-F", "0")),
+            (("semigroups", "-F", "201"), ("semigroups", "-F", "201")),
+        ],
+    )
+    def test_usage_and_caps_match_the_main_command(self, capsys, query, main):
+        code, out, err = invoke(capsys, "oracle", *query)
+        assert out == "" and code in (EXIT_USAGE, EXIT_CAPACITY)
+        assert invoke(capsys, *main) == (code, out, err)
+
     def test_capacity_comes_before_the_witness(self, capsys):
         code, out, err = invoke(capsys, "oracle", "semigroups", "-A", "4", "-F", "20")
         assert (code, out) == (EXIT_CAPACITY, "")
@@ -196,16 +221,17 @@ class TestLimitsAndCaps:
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 9])
     def test_limit_bounds_rendering(self, capsys, monkeypatch, fmt, limit):
         rendered = []
-        line = cli._RENDER[fmt]["semigroup"]
-        monkeypatch.setitem(
-            cli._RENDER[fmt], "semigroup", lambda s: rendered.append(s) or line(s)
+        render = cli._render
+        monkeypatch.setattr(
+            cli, "_render",
+            lambda leaves, count, *rest: rendered.append(count) or render(leaves, count, *rest),
         )
         code, out, err = invoke(
             capsys, "irreducibles", "-A", "4", "-F", "11", "--format", fmt,
             "--limit", str(limit),
         )
         assert code == EXIT_OK
-        assert len(rendered) == len(out.splitlines()) == min(limit, 3)
+        assert sum(rendered) == len(out.splitlines()) == min(limit, 3)
         if limit < 3:
             assert err == f"output truncated to {limit} of 3 records\n"
         else:
@@ -213,11 +239,14 @@ class TestLimitsAndCaps:
 
     def test_limit_renders_solutions_lazily(self, capsys, monkeypatch):
         calls = []
-        line = cli._RENDER["text"]["solve"]
-        monkeypatch.setitem(cli._RENDER["text"], "solve", lambda s: calls.append(s) or line(s))
+        render = cli._render
+        monkeypatch.setattr(
+            cli, "_render",
+            lambda leaves, count, *rest: calls.append(count) or render(leaves, count, *rest),
+        )
         code, out, err = invoke(capsys, "solve", "-B", "21,25", "--limit", "2")
         assert code == EXIT_OK
-        assert len(calls) == len(out.splitlines()) == 2
+        assert sum(calls) == len(out.splitlines()) == 2
         assert err.startswith("output truncated to 2 of ")
 
     def test_frobenius_cap(self, capsys):
@@ -285,6 +314,18 @@ class TestDeterminism:
         )
         assert serial == parallel
 
+    def test_closed_pipe_ends_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "numsem.cli", "solve", "-B", "5,7,71"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline().startswith("<")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == ""
+
     def test_entry_point_subprocess(self):
         result = subprocess.run(
             [sys.executable, "-m", "numsem.cli", "solve", "-A", "4,9", "-B", "11,14"],
@@ -315,38 +356,47 @@ class TestRecordBuilders:
 
 
 class TestTextRenderer:
-    """Text lines read off the bitmap equal format_text of the record dicts."""
+    """Lines read off a chunk's packed bitmaps equal format_text or json.dumps of the record dicts.
 
-    def test_semigroup_lines_match_the_records(self):
+    No CLI path renders the full semigroup: -F and max(B) are positive.
+    """
+
+    @staticmethod
+    def pool():
         pool = [FULL_SEMIGROUP]
         for frobenius in range(1, 15):
             pool += oracle.all_semigroups_with_frobenius(frobenius)
         assert len(pool) == 380
-        for s in pool:
-            assert cli._semigroup_line(s) == format_text(semigroup_record(s)), s
-        assert cli._semigroup_line(FULL_SEMIGROUP) == "<1> | F=-1 g=0 gaps={}"
+        return pool
+
+    def test_semigroup_lines_match_the_records(self):
+        pool = self.pool()
+        for frobenius in range(1, 15):
+            family = [s for s in pool if s.frobenius == frobenius]
+            assert chunk_lines(family) == [format_text(semigroup_record(s)) for s in family]
+        assert format_text(semigroup_record(FULL_SEMIGROUP)) == "<1> | F=-1 g=0 gaps={}"
 
     def test_solution_lines_match_the_records(self):
-        render = cli._RENDER["text"]["solve"]
-        cases = [(), *solve([], [6, 9]), *solve([4, 9], [11, 14]), *solve([3], [7, 11])]
+        cases = [*solve([], [6, 9]), *solve([4, 9], [11, 14]), *solve([3], [7, 11])]
         for c in cases:
-            assert render(cli._complement(c)) == format_text(solution_record(c)), c
+            (line,) = chunk_lines([cli._complement(c)], "text", "solution-set")
+            assert line == format_text(solution_record(c)), c
+        assert format_text(solution_record(())) == "<1> | F=-1 g=0 gaps={}"
 
     def test_json_lines_dump_the_records(self):
         s = sg([4, 6, 9])
-        assert cli._RENDER["json"]["semigroup"](s) == json.dumps(semigroup_record(s))
+        assert chunk_lines([s], "json") == [json.dumps(semigroup_record(s))]
         c = s.gaps()
-        assert cli._RENDER["json"]["solve"](cli._complement(c)) == json.dumps(solution_record(c))
+        assert chunk_lines([cli._complement(c)], "json", "solution-set") == [
+            json.dumps(solution_record(c))
+        ]
 
     def test_json_semigroup_lines_match_the_dumps(self):
-        render = cli._RENDER["json"]["semigroup"]
-        pool = [FULL_SEMIGROUP]
+        pool = self.pool()
         for frobenius in range(1, 15):
-            pool += oracle.all_semigroups_with_frobenius(frobenius)
-        assert len(pool) == 380
-        for s in pool:
-            assert render(s) == json.dumps(semigroup_record(s)), s
-        full = render(FULL_SEMIGROUP)
+            family = [s for s in pool if s.frobenius == frobenius]
+            assert chunk_lines(family, "json") == [json.dumps(semigroup_record(s)) for s in family]
+        full = json.dumps(semigroup_record(FULL_SEMIGROUP))
         assert '"frobenius": -1' in full and '"gaps": []' in full
 
     @pytest.mark.parametrize(
@@ -355,10 +405,20 @@ class TestTextRenderer:
     def test_solve_lines_match_the_solution_records(self, required, forbidden):
         avoiders = maximal_avoiding(required, forbidden)
         assert [s.gaps() for s in avoiders] == solve(required, forbidden)
-        for s in avoiders:
-            record = solution_record(s.gaps())
-            assert cli._RENDER["text"]["solve"](s) == format_text(record), s
-            assert cli._RENDER["json"]["solve"](s) == json.dumps(record), s
+        records = [solution_record(s.gaps()) for s in avoiders]
+        assert chunk_lines(avoiders, "text", "solution-set") == [format_text(r) for r in records]
+        assert chunk_lines(avoiders, "json", "solution-set") == [json.dumps(r) for r in records]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_limit_cuts_inside_and_across_chunks(self, capsys, fmt):
+        argv = ("semigroups", "-A", "7", "-F", "33", "--format", fmt)
+        code, full, err = invoke(capsys, *argv)
+        lines = full.splitlines(keepends=True)
+        assert (code, err) == (EXIT_OK, "") and len(lines) > 2 * CHUNK
+        for limit in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3):
+            code, out, err = invoke(capsys, *argv, "--limit", str(limit))
+            assert out == "".join(lines[:limit])
+            assert err == f"output truncated to {limit} of {len(lines)} records\n"
 
 
 class TestParserReuse:

@@ -7,11 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from numsem import errors
 from numsem.core import (
+    CHUNK,
     AperyVector,
     FULL_SEMIGROUP,
     NumericalSemigroup,
     Submonoid,
     _bit_positions,
+    _leaf_chunks,
+    _pack,
+    _stride,
+    _unpack,
     apery,
     apery_vector,
     avoids_genset,
@@ -101,6 +106,106 @@ def fused_from_mask(frob, mask):
 def uncached(s):
     """The same semigroup with nothing cached."""
     return NumericalSemigroup(s.frobenius, s.member_mask())
+
+
+def chunked(frob, masks):
+    """The chunk check of the masks: the chunk sizes and the semigroups, or the first violation."""
+    try:
+        chunks = list(_leaf_chunks(frob, masks))
+    except errors.ClosureViolation as exc:
+        return "violation", (exc.x, exc.y)
+    return [len(c) for c in chunks], [s for c in chunks for s in c.semigroups()]
+
+
+def one_at_a_time(frob, masks):
+    """chunked, computed by from_mask one mask at a time."""
+    try:
+        semigroups = [NumericalSemigroup.from_mask(frob, m) for m in masks]
+    except errors.ClosureViolation as exc:
+        return "violation", (exc.x, exc.y)
+    sizes = [min(CHUNK, len(masks) - i) for i in range(0, len(masks), CHUNK)]
+    return sizes, semigroups
+
+
+def every_bitmap(frob):
+    """Every bitmap on [0, F] with bit 0 set and bit F clear, split into the closed and the rest."""
+    closed, open_ = [], []
+    for mask in range(1, 1 << frob, 2):
+        (closed if two_scan_from_mask(frob, mask)[0] == "generators" else open_).append(mask)
+    return closed, open_
+
+
+class TestLeafChunks:
+    """The chunk check of search leaves against from_mask and two_scan_from_mask, one by one."""
+
+    def test_closed_bitmaps_match_one_at_a_time(self):
+        total = 0
+        for frob in range(1, 15):
+            closed, _ = every_bitmap(frob)
+            sizes, got = chunked(frob, closed)
+            assert (sizes, got) == one_at_a_time(frob, closed)
+            for s in got:
+                expected = two_scan_from_mask(frob, s.member_mask())
+                assert ("generators", s.minimal_generators()) == expected
+            total += len(closed)
+        assert total == 379
+
+    def test_a_non_closed_bitmap_raises_its_own_violation_anywhere(self):
+        rng = random.Random(12)
+        total = 0
+        for frob in range(1, 15):
+            closed, open_ = every_bitmap(frob)
+            total += len(open_)
+            for i, mask in enumerate(open_):
+                pad = [closed[(i + j) % len(closed)] for j in range(5)]
+                masks = pad[:i % 6] + [mask] + pad[i % 6:]
+                assert chunked(frob, masks) == two_scan_from_mask(frob, mask), (frob, mask)
+            # Mid-chunk, at a chunk's ends and in the second chunk.
+            pad = [closed[j % len(closed)] for j in range(2 * CHUNK)]
+            for mask in rng.sample(open_, min(60, len(open_))):
+                at = rng.choice([0, 1, CHUNK // 2, CHUNK - 1, CHUNK, CHUNK + 7])
+                masks = pad[:at] + [mask] + pad[at:]
+                expected = two_scan_from_mask(frob, mask)
+                assert chunked(frob, masks) == one_at_a_time(frob, masks) == expected, (mask, at)
+        assert total == 16004
+
+    @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_leaf_counts_around_the_chunk_size(self, count):
+        for frob in (14, 59):
+            family = enumerate_irreducibles([], frob)
+            masks = [family[i % len(family)].member_mask() for i in range(count)]
+            sizes, got = chunked(frob, masks)
+            assert (sizes, got) == one_at_a_time(frob, masks)
+            assert [s.minimal_generators() for s in got] == [
+                full_window_minimal_generators(s) for s in got
+            ]
+
+    @pytest.mark.parametrize("at", [0, 3, CHUNK - 1, CHUNK])
+    def test_raw_failures_raise_what_the_constructor_raises(self, at):
+        for frob in (5, 14, 40):
+            pad = [s.member_mask() for s in enumerate_irreducibles([], frob)]
+            pad = [pad[j % len(pad)] for j in range(CHUNK + 4)]
+            for bad in (
+                pad[0] | 1 << frob,  # bit F set
+                pad[0] | 1 << (frob + 1),  # a bit above F
+                pad[0] | 1 << (3 * frob + 4),  # a bit above F, past the sums
+                pad[0] | 1 << 4000,  # a bit past the block
+                pad[0] & ~1,  # bit 0 clear
+                -1,
+            ):
+                with pytest.raises((ValueError, errors.FrobeniusPresent)) as expected:
+                    NumericalSemigroup(frob, bad)
+                with pytest.raises(type(expected.value)) as info:
+                    list(_leaf_chunks(frob, pad[:at] + [bad] + pad[at:]))
+                assert str(info.value) == str(expected.value), (frob, bad)
+
+    def test_mirror_fill_adds_each_upper_x_whose_mirror_is_missing(self):
+        rng = random.Random(5)
+        for frob in range(1, 70):
+            halves = [rng.getrandbits((frob + 1) // 2) | 1 for _ in range(CHUNK + 3)]
+            upper = range(frob // 2 + 1, frob)
+            expected = [h | sum(1 << x for x in upper if not h >> (frob - x) & 1) for h in halves]
+            assert _unpack(_pack(frob, halves, fill=True), len(halves), _stride(frob)) == expected
 
 
 class TestNormalize:
