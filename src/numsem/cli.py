@@ -23,9 +23,11 @@ chunk at a time: each query yields the search leaves in chunks of
 and ``core._check_leaves`` validates a whole chunk at once (bit 0 set,
 bit F clear, nothing above F, and additive closure on the sums of the
 minimal-generator scan), one bigint operation per column over every
-leaf.  A chunk's lines are read off its packed generators and members:
-one ``compress``/``join`` per field lists the minimal generators and
-the gaps of every leaf, and one format call per record writes the line.
+leaf.  A chunk's lines are read off its packed generators and members
+a byte at a time: a table per byte index, built on first use, maps each
+byte value to the joined numbers of its set bits, so one ``join`` of
+lookups per field lists the minimal generators and the gaps of every
+leaf, and one format call per record writes the line.
 A text line equals ``format_text`` of the record dict, and a JSON line
 equals ``json.dumps`` of it.  ``solve`` renders the maximal avoiders
 themselves as solution-set records, since each solution is the gap set
@@ -52,9 +54,10 @@ import functools
 import json
 import struct
 import sys
-from itertools import compress, cycle
+from itertools import cycle
+from operator import getitem
 
-from . import errors, oracle
+from . import errors
 from .classes import _semigroup_chunks
 from .classes import enumerate_with_frobenius  # noqa: F401  bench/tracer.py wraps it here
 from .core import NumericalSemigroup, _coin_table, _fold, _leaf_chunks, _Leaves, _ones
@@ -190,51 +193,56 @@ def format_text(record: dict) -> str:
     return f"<{msg}> | F={record['frobenius']} g={record['genus']} gaps={{{gaps}}}"
 
 
-# Turn the binary digits of a bitmap into byte 1 at a set bit, or at a clear one.
-_SET_FLAGS = bytes.maketrans(b"01", b"\0\1")
-_CLEAR_FLAGS = bytes.maketrans(b"01", b"\1\0")
-
 # The separator of the numbers in a line, by output format.
 _SEPARATORS = {"text": ",", "json": ", "}
 
 
 @functools.cache
-def _tokens(sep: str) -> list[str]:
-    """A newline, then sep + str(i) for every number a line can hold.
+def _byte_table(j: int) -> tuple[str, ...]:
+    """For each byte value, the tokens of its set bits as byte j of a bitmap, joined.
 
-    Gaps are at most F, and minimal generators at most F + m <= 2F + 1.
+    Bit i stands for the token "," + str(8j + i), and bit 0 of byte 0 for
+    a newline.  Built by doubling: the entries with bit i set are those
+    below 2^i, each followed by the token of bit i.
     """
-    top = 2 * max(MAX_FROBENIUS_INPUT, MAX_FORBIDDEN_INPUT) + 1
-    return ["\n"] + [sep + str(i) for i in range(1, top + 1)]
+    table = [""]
+    for i in range(8 * j, 8 * j + 8):
+        token = f",{i}" if i else "\n"
+        table += [entry + token for entry in table]
+    return tuple(table)
 
 
-def _fields(packed: int, count: int, stride: int, width: int, flags: bytes, sep: str) -> list[str]:
-    """For each of count blocks, its positions below width marked by the flags table, joined by sep.
+def _fields(packed: int, count: int, stride: int, width: int, sep: str) -> list[str]:
+    """For each of count blocks, its set positions, all below width, joined by sep.
 
-    Position 0 must be marked in every block: its newline starts the
-    block's field.  Character i of the reversed binary string is bit i,
-    and struct keeps the first width characters of each block.
+    Bit 0 must be set in every block: its newline starts the block's
+    field.  struct keeps the bytes of each block that hold positions
+    below width, and each byte is looked up in the table of its index.
+    The joined fields hold only digits, commas and newlines, so one
+    replace gives the separator of the format.
     """
-    tokens = _tokens(sep)
-    assert width <= len(tokens), width
-    digits = f"{packed:0{count * stride}b}"[::-1].encode()
-    marks = b"".join(struct.unpack(f"{width}s{stride - width}x" * count, digits)).translate(flags)
-    return "".join(compress(cycle(tokens[:width]), marks)).split("\n" + sep)[1:]
+    size, used = stride // 8, (width + 7) // 8
+    data = b"".join(struct.unpack(f"{used}s{size - used}x" * count,
+                                  packed.to_bytes(count * size, "little")))
+    text = "".join(map(getitem, cycle(list(map(_byte_table, range(used)))), data))
+    if sep != ",":
+        text = text.replace(",", sep)
+    return text.split("\n" + sep)[1:]
 
 
 def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
     """The lines of the first count leaves of a chunk, as records of the kind, newline included.
 
     Bit 0, never a gap or a generator, marks the start of each leaf.  The
+    gaps of a leaf are the positions of [1, F] outside its members.  The
     genus is the number of gaps, one more than the separators between them.
     """
     frob, stride, sep = leaves.frobenius, leaves.stride, _SEPARATORS[fmt]
-    first = (1 << count * stride) - 1
     ones = _ones(count, stride)
-    generators = leaves.generators & first
+    generators = leaves.generators & ((1 << count * stride) - 1)
     width = _fold(generators, count, stride).bit_length()
-    msgs = _fields(generators | ones, count, stride, width, _SET_FLAGS, sep)
-    gaps = _fields(leaves.members & first ^ ones, count, stride, frob + 1, _CLEAR_FLAGS, sep)
+    msgs = _fields(generators | ones, count, stride, width, sep)
+    gaps = _fields(ones * ((2 << frob) - 1) & ~leaves.members | ones, count, stride, frob + 1, sep)
     if fmt == "text":
         mid = f"> | F={frob} g="
         return "".join([f"<{m}{mid}{g.count(sep) + 1} gaps={{{g}}}\n" for m, g in zip(msgs, gaps)])
@@ -301,6 +309,8 @@ def _dispatch(args):
     """
     command = args.oracle_command if args.command == "oracle" else args.command
     if command == "partitions":
+        from . import oracle
+
         line = format_text if args.format == "text" else json.dumps
         return [oracle.partitions(args.target)], lambda parts, count: "".join(
             line(partition_record(p)) + "\n" for p in parts[:count])
@@ -340,6 +350,8 @@ def _oracle_masks(command: str, required, frobenius: int, targets) -> list[int]:
     whose Frobenius number is max(B).  No result means that A generates
     F or some b, and that witness is raised.
     """
+    from . import oracle
+
     if command == "hitting-sets":
         full = (2 << frobenius) - 1
         hitting = oracle.minimal_hitting_sets(required, targets)

@@ -179,7 +179,8 @@ class NumericalSemigroup:
             raise errors.FrobeniusPresent(frobenius)
         self.frobenius = frobenius
         self._mask = mask
-        self._msg: tuple[int, ...] | None = None
+        # None, the bitmap of the minimal generators, or their tuple once read.
+        self._msg: int | tuple[int, ...] | None = None
 
     @classmethod
     def from_small_elements(cls, members, frobenius: int) -> "NumericalSemigroup":
@@ -303,12 +304,16 @@ class NumericalSemigroup:
         x > F + m splits as m + (x - m) with x - m > F a member.  So the
         window [1, F + m] is exhaustive, and the smaller summand of any sum
         inside it is at most (F + m)/2.  The full semigroup gives (1,).
-        The result is cached; :meth:`from_mask` and the chunk check of
-        search leaves (see _check_leaves) fill the cache as they validate.
+        The result is cached; :meth:`from_mask` fills the cache as it
+        validates, and the semigroups of a checked chunk of search leaves
+        (see _Leaves.semigroups) hold their generators as a bitmap, which
+        the first read decodes.
         """
         if self._msg is None:
             window, sums = _scan(self.frobenius, self._mask, 1)
-            self._msg = tuple(_bit_positions(window & ~sums))
+            self._msg = window & ~sums
+        if isinstance(self._msg, int):
+            self._msg = tuple(_bit_positions(self._msg))
         return self._msg
 
     def issubset(self, other: "NumericalSemigroup") -> bool:
@@ -437,12 +442,12 @@ class _Leaves:
         return self.count
 
     def semigroups(self) -> list[NumericalSemigroup]:
-        """The semigroups, built by the raw constructor, with their minimal generators cached."""
+        """The semigroups, built by the raw constructor, with their generator bitmaps cached."""
         out = []
         for mask, gens in zip(_unpack(self.members, self.count, self.stride),
                               _unpack(self.generators, self.count, self.stride)):
             s = NumericalSemigroup(self.frobenius, mask)
-            s._msg = tuple(_bit_positions(gens))
+            s._msg = gens
             out.append(s)
         return out
 

@@ -20,7 +20,7 @@ verification layer for the solver's output.
 
 from __future__ import annotations
 
-from . import errors, oracle
+from . import errors
 from .core import Submonoid, normalize_genset
 from .maxavoid import maximal_avoiding
 
@@ -49,6 +49,8 @@ def check_solution(candidate, required, forbidden) -> bool:
     unhittable, so it fails the check outright; that only happens for
     infeasible inputs.
     """
+    from . import oracle
+
     candidate = frozenset(int(k) for k in candidate)
     if any(k < 1 for k in candidate):
         raise ValueError("solution sets contain positive integers only")

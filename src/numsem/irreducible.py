@@ -47,7 +47,6 @@ from . import errors
 from .core import (
     NumericalSemigroup,
     Submonoid,
-    _add_generator,
     _coin_table,
     _leaf_chunks,
     _pack,
@@ -101,21 +100,30 @@ def _search(mask: int, frobenius: int, last: int, avoid: int = 0):
     distinct on [1, last] and come out in gap order by construction.
     Adding k closes M by shift-or doubling.  The member branch is taken
     only when the closed bitmap misses F and every bit of avoid; the gap
-    branch always is, so every path ends in a leaf.
+    branch always is, so every path ends in a leaf.  Only member branches
+    are pushed: the gap branch is walked in place, and since every branch
+    pushed below it is popped after it, the order is depth first, gap
+    before member, as if both were pushed.
     """
     stop = 1 << frobenius | avoid
+    full = (2 << frobenius) - 1
     stack = [(mask, 1)]
     while stack:
         mask, k = stack.pop()
-        free = ~mask >> k  # the least position >= k outside M
-        k += (free & -free).bit_length() - 1
-        if k > last:
-            yield mask
-            continue
-        member = _add_generator(mask, k, frobenius)
-        if not member & stop:
-            stack.append((member, k + 1))
-        stack.append((mask, k + 1))
+        while True:
+            free = ~mask >> k  # the least position >= k outside M
+            k += (free & -free).bit_length() - 1
+            if k > last:
+                yield mask
+                break
+            # core._add_generator(mask, k, frobenius), inlined.
+            member, step = mask, k
+            while step <= frobenius:
+                member |= (member << step) & full
+                step *= 2
+            if not member & stop:
+                stack.append((member, k + 1))
+            k += 1
 
 
 def make_context(required, frobenius: int) -> IrreducibleContext:

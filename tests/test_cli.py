@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -23,7 +24,15 @@ from numsem.cli import (
     semigroup_record,
     solution_record,
 )
-from numsem.core import CHUNK, FULL_SEMIGROUP, NumericalSemigroup, _leaf_chunks
+from numsem.core import (
+    CHUNK,
+    FULL_SEMIGROUP,
+    NumericalSemigroup,
+    _add_generator,
+    _check_leaves,
+    _leaf_chunks,
+    _pack,
+)
 from numsem.frontier import solve
 from numsem.maxavoid import maximal_avoiding
 
@@ -337,6 +346,12 @@ class TestDeterminism:
             "<4,9,15> | F=14 g=9 gaps={1,2,3,5,6,7,10,11,14}"
         ]
 
+    def test_import_leaves_the_oracle_out(self):
+        # Only the oracle subcommands and frontier.check_solution import it.
+        code = "import sys, numsem.cli; print('numsem.oracle' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (result.stdout, result.stderr) == ("False\n", "")
+
 
 class TestRecordBuilders:
     def test_full_semigroup_reports_minus_one(self):
@@ -419,6 +434,68 @@ class TestTextRenderer:
             code, out, err = invoke(capsys, *argv, "--limit", str(limit))
             assert out == "".join(lines[:limit])
             assert err == f"output truncated to {limit} of {len(lines)} records\n"
+
+
+class TestFullWidthRenderer:
+    """Lines as wide as the CLI allows: gaps up to 200, generators up to 401, 51 bytes."""
+
+    KINDS = [(fmt, kind) for fmt in ("text", "json") for kind in ("semigroup", "solution-set")]
+
+    @staticmethod
+    def pool(frob, rng):
+        """The ordinary semigroup {0} and [F + 1, oo), then three seeded random closed bitmaps."""
+        pool = [1]
+        for _ in range(3):
+            mask = 1
+            for g in rng.sample(range(1, frob), min(frob - 1, rng.randint(1, 6))):
+                closed = _add_generator(mask, g, frob)
+                if not closed >> frob & 1:
+                    mask = closed
+            pool.append(mask)
+        return pool
+
+    @staticmethod
+    def expected(frob, masks, fmt, kind):
+        line = format_text if fmt == "text" else json.dumps
+        records = []
+        for mask in masks:
+            s = NumericalSemigroup.from_mask(frob, mask)
+            records.append(semigroup_record(s) if kind == "semigroup" else solution_record(s.gaps()))
+        return [line(r) for r in records]
+
+    @staticmethod
+    def rendered(frob, masks, count, fmt, kind):
+        leaves = _check_leaves(frob, _pack(frob, masks), len(masks))
+        return cli._render(leaves, count, fmt, kind).splitlines()
+
+    def test_every_frobenius_number(self):
+        rng = random.Random(1)
+        for frob in range(1, 201):
+            masks = self.pool(frob, rng)
+            assert NumericalSemigroup(frob, 1).minimal_generators() == tuple(
+                range(frob + 1, 2 * frob + 2))
+            for fmt, kind in self.KINDS:
+                expected = self.expected(frob, masks, fmt, kind)
+                assert self.rendered(frob, masks, len(masks), fmt, kind) == expected, (frob, fmt)
+
+    @pytest.mark.parametrize("frob", [1, 7, 8, 9, 63, 64, 127, 128, 199, 200])
+    def test_chunk_sizes_and_counts(self, frob):
+        pool = self.pool(frob, random.Random(frob))
+        for fmt, kind in self.KINDS:
+            lines = self.expected(frob, pool, fmt, kind)
+            for size in (1, CHUNK - 1, CHUNK, CHUNK + 1):
+                masks = [pool[i % len(pool)] for i in range(size)]
+                expected = [lines[i % len(pool)] for i in range(size)]
+                for count in {1, size - 1, size} - {0}:
+                    assert self.rendered(frob, masks, count, fmt, kind) == expected[:count]
+
+    def test_byte_tables(self):
+        for j in range((2 * cli.MAX_FROBENIUS_INPUT + 2 + 7) // 8):
+            table = cli._byte_table(j)
+            assert len(table) == 256
+            for b, entry in enumerate(table):
+                bits = [8 * j + i for i in range(8) if b >> i & 1]
+                assert entry == "".join(f",{i}" if i else "\n" for i in bits), (j, b)
 
 
 class TestParserReuse:

@@ -10,10 +10,12 @@ from numsem.core import (
     FULL_SEMIGROUP,
     NumericalSemigroup,
     Submonoid,
+    _add_generator,
     contains_genset,
     gap_key,
 )
 from numsem.irreducible import (
+    _search,
     children,
     enumerate_irreducibles,
     irreducible_closure,
@@ -37,6 +39,42 @@ def tree_walk(ctx):
         stack.extend(children(s, ctx))
     assert len(set(nodes)) == len(nodes), "the tree reached a node twice"
     return sorted(nodes, key=gap_key)
+
+
+def two_push_search(mask, frobenius, last, avoid=0):
+    """Reference: the prefix search that pushes both branches of every node, gap on top."""
+    stop = 1 << frobenius | avoid
+    stack = [(mask, 1)]
+    while stack:
+        mask, k = stack.pop()
+        free = ~mask >> k
+        k += (free & -free).bit_length() - 1
+        if k > last:
+            yield mask
+            continue
+        member = _add_generator(mask, k, frobenius)
+        if not member & stop:
+            stack.append((member, k + 1))
+        stack.append((mask, k + 1))
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize("required", [(), (5,), (7, 9)])
+    def test_same_leaves_in_the_same_order(self, required):
+        checked = 0
+        for frob in range(1, 31):
+            monoid = Submonoid(required, frob)
+            if frob in monoid:
+                continue
+            avoids = [0]
+            if frob > 3:
+                avoids += [1 << (frob - 3), 3 << (frob - 2)]
+            for last in {(frob - 1) // 2, frob - 1}:
+                for avoid in avoids:
+                    args = (monoid.member_mask(), frob, last, avoid)
+                    assert list(_search(*args)) == list(two_push_search(*args)), args
+                    checked += 1
+        assert checked > 100
 
 
 class TestIsIrreducible:
