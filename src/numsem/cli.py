@@ -17,23 +17,33 @@ not apply.  Output is byte-identical across runs for identical inputs.
 and every run is single-threaded whatever its value.
 
 The argument parser is built once per process, on the first :func:`run`
-call, and reused by every later call.  Results stream to stdout a
-chunk at a time: each query yields the search leaves in chunks of
-``core.CHUNK`` member bitmaps, packed one block per leaf into one int,
-and ``core._check_leaves`` validates a whole chunk at once (bit 0 set,
-bit F clear, nothing above F, and additive closure on the sums of the
-minimal-generator scan), one bigint operation per column over every
-leaf.  A chunk's lines are read off its packed generators and members
-a byte at a time: a table per byte index, built on first use, maps each
-byte value to the joined numbers of its set bits, so one ``join`` of
-lookups per field lists the minimal generators and the gaps of every
-leaf, and one format call per record writes the line.
-A text line equals ``format_text`` of the record dict, and a JSON line
-equals ``json.dumps`` of it.  ``solve`` renders the maximal avoiders
-themselves as solution-set records, since each solution is the gap set
-of one avoider, and the oracle subcommands render their results through
-the same chunks; the record builders below stay as the reference for the
-library and the tests.  ``--limit K`` renders and writes only K records,
+call, and reused by every later call.  When the arguments start with a
+subcommand, its own subparser alone parses the rest: the top-level
+parser would only hand it the same strings after one more scan, so the
+namespace, the usage messages, the help output and the exit codes are
+the same.
+
+Results stream to stdout a chunk at a time: each query yields the
+search leaves in chunks of ``core.CHUNK`` member bitmaps, packed one
+block per leaf into one int, and ``core._check_leaves`` validates a
+whole chunk at once (bit 0 set, bit F clear, nothing above F, and
+additive closure on the sums of the minimal-generator scan), one bigint
+operation per column over every leaf.  A chunk's lines are read off its
+packed generators and members a byte at a time: a table per byte index,
+built on first use, maps each byte value to the joined numbers of its
+set bits, so one ``join`` of lookups per field lists the minimal
+generators and the gaps of every leaf, and one format call per record
+writes the line.  A text line equals ``format_text`` of the record dict,
+and a JSON line equals ``json.dumps`` of it.  ``irreducibles``,
+``maximal`` and ``solve`` share one generator of checked chunks, since
+the irreducibles with Frobenius number F are the maximal avoiders of the
+single value F.  ``solve`` renders the maximal avoiders themselves as
+solution-set records, since each solution is the gap set of one avoider,
+and streams them: that no solution comes twice is asserted chunk by
+chunk, as the bitmaps strictly increase in gap order.  The oracle
+subcommands render their results through the same chunks; the record
+builders below stay as the reference for the library and the tests.
+``--limit K`` renders and writes only K records,
 but every leaf is still checked and counted, since the stderr note
 reports the total.  The oracle subcommands take the same usage and
 capacity checks as the main commands.
@@ -55,15 +65,14 @@ import json
 import struct
 import sys
 from itertools import cycle
-from operator import getitem
+from operator import getitem, lt
 
 from . import errors
 from .classes import _semigroup_chunks
 from .classes import enumerate_with_frobenius  # noqa: F401  bench/tracer.py wraps it here
-from .core import NumericalSemigroup, _coin_table, _fold, _leaf_chunks, _Leaves, _ones
+from .core import _BIT_REVERSE, NumericalSemigroup, _coin_table, _fold, _leaf_chunks, _Leaves, _ones
 from .frontier import solve  # noqa: F401  bench/tracer.py wraps it in this namespace
-from .irreducible import _irreducible_chunks
-from .maxavoid import _avoider_masks, _forbidden
+from .maxavoid import _avoider_chunks, _forbidden
 from .maxavoid import maximal_avoiding  # noqa: F401  bench/tracer.py wraps it here
 
 EXIT_OK = 0
@@ -292,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     o_parts.add_argument("target", type=int)
     _add_query(osub, "hitting-sets", "-B", common)
 
+    parser.commands = sub.choices  # the subparser of each subcommand, for _parse
     return parser
 
 
@@ -299,6 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser of :func:`run`: built on the first call, shared by every later one."""
     return build_parser()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The arguments as ``_parser().parse_args(argv)`` gives them, errors and help included.
+
+    When argv starts with a subcommand, only its subparser parses the
+    rest, and the command is set as the top-level parser would set it.
+    Anything else goes through the top-level parser.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = _parser().commands.get(argv[0]) if argv else None
+    if sub is None:
+        return _parser().parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _dispatch(args):
@@ -331,16 +358,31 @@ def _dispatch(args):
 
     if args.command == "oracle":
         return _leaf_chunks(frobenius, _oracle_masks(command, required, frobenius, targets)), render
-    if command == "irreducibles":
-        return _irreducible_chunks(required, frobenius), render
     if command == "semigroups":
         return _semigroup_chunks(required, frobenius), render
-    _, masks = _avoider_masks(required, targets)
+    # irreducibles are the maximal avoiders of the single value F.
+    chunks = _avoider_chunks(required, targets)
     if command == "solve":
         # The solutions are the gap sets of the maximal avoiders.
-        masks = list(masks)
-        assert len(set(masks)) == len(masks)
-    return _leaf_chunks(frobenius, masks), render
+        chunks = _increasing(chunks)
+    return chunks, render
+
+
+def _increasing(chunks):
+    """The chunks, asserting as they pass that their bitmaps strictly increase in gap order.
+
+    So no bitmap comes twice.  For one F, gap order is the order of the
+    bitmaps read with bit 0 as the most significant bit: the bytes of
+    each block, bits reversed, compared as strings.
+    """
+    last = b""
+    for leaves in chunks:
+        size = leaves.stride // 8
+        data = leaves.members.to_bytes(leaves.count * size, "little").translate(_BIT_REVERSE)
+        keys = (last, *struct.unpack(f"{size}s" * leaves.count, data))
+        assert all(map(lt, keys, keys[1:])), "the solutions must be distinct"
+        last = keys[-1]
+        yield leaves
 
 
 def _oracle_masks(command: str, required, frobenius: int, targets) -> list[int]:
@@ -370,7 +412,7 @@ def _oracle_masks(command: str, required, frobenius: int, targets) -> list[int]:
 def run(argv=None) -> int:
     """Parse, execute, write records; returns the process exit code."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -60,14 +60,17 @@ def _bit_positions(mask: int):
     return compress(count(), f"{mask:b}"[::-1].encode().translate(_SET_FLAGS))
 
 
-def _add_generator(mask: int, g: int, bound: int) -> int:
+def _add_generator(mask: int, g: int, bound: int, full: int | None = None) -> int:
     """The bitmap of every x + kg on [0, bound] with x in mask and k >= 0.
 
     Shift-or doubling: after the shifts by g, 2g, ..., 2^j g it holds
     every x + kg with k < 2^(j+1).  When mask is a monoid on [0, bound],
-    so is the result: the monoid generated by mask and g.
+    so is the result: the monoid generated by mask and g.  A packed
+    chunk (see _pack) is doubled in every block at once when full is
+    [0, bound] in each of its blocks.
     """
-    full = (1 << (bound + 1)) - 1
+    if full is None:
+        full = (1 << (bound + 1)) - 1
     step = g
     while step <= bound:
         mask |= (mask << step) & full
@@ -360,23 +363,37 @@ def _ones(count: int, stride: int) -> int:
 def _pack(frobenius: int, masks: list[int], fill: bool = False) -> int:
     """The bitmaps on [0, F] as one int, bitmap i in block i of _stride(F) bits.
 
-    With fill, each bitmap is the lower half of an irreducible, and every
-    x in (F/2, F) whose mirror F - x it lacks is added to it.  Reversing
-    all the bits of the blocks taken in reverse order turns bit y of
-    bitmap i into bit stride - 1 - y of block i, so one shift puts each
-    mirror F - y in place.  See _refuse for a bitmap that does not fit.
+    With fill, each bitmap is the lower half of an irreducible, and the
+    int holds its mirror fill (see _halves).  See _refuse for a bitmap
+    that does not fit.
     """
-    stride = _stride(frobenius)
+    if fill:
+        return _halves(frobenius, masks)[2]
+    return int.from_bytes(b"".join(_blocks(frobenius, masks)), "little")
+
+
+def _blocks(frobenius: int, masks: list[int]) -> list[bytes]:
+    """The bytes of each bitmap on [0, F], one block of _stride(F) bits each."""
     try:
-        blocks = list(map(int.to_bytes, masks, repeat(stride // 8), repeat("little")))
+        return list(map(int.to_bytes, masks, repeat(_stride(frobenius) // 8), repeat("little")))
     except OverflowError:
         _refuse(frobenius, masks)
+
+
+def _halves(frobenius: int, masks: list[int]) -> tuple[int, int, int]:
+    """The packed lower halves of irreducibles, their reflection and their mirror fills.
+
+    Reversing all the bits of the blocks taken in reverse order turns
+    bit y of bitmap i into bit stride - 1 - y of block i: that is the
+    reflection.  One shift of it puts each mirror F - y in place, and
+    the fill adds every x in (F/2, F) whose mirror F - x the bitmap lacks.
+    """
+    stride = _stride(frobenius)
+    blocks = _blocks(frobenius, masks)
     packed = int.from_bytes(b"".join(blocks), "little")
-    if fill:
-        mirror = int.from_bytes(b"".join(reversed(blocks)).translate(_BIT_REVERSE), "big")
-        upper = _ones(len(masks), stride) * ((1 << frobenius) - (1 << (frobenius // 2 + 1)))
-        packed |= upper & ~(mirror >> (stride - 1 - frobenius))
-    return packed
+    mirror = int.from_bytes(b"".join(reversed(blocks)).translate(_BIT_REVERSE), "big")
+    upper = _ones(len(masks), stride) * ((1 << frobenius) - (1 << (frobenius // 2 + 1)))
+    return packed, mirror, packed | upper & ~(mirror >> (stride - 1 - frobenius))
 
 
 def _unpack(packed: int, count: int, stride: int) -> list[int]:
@@ -486,14 +503,10 @@ def _batches(items):
         yield batch
 
 
-def _leaf_chunks(frobenius: int, masks, fill: bool = False):
-    """Check the bitmaps on [0, F], CHUNK at a time, and yield each chunk as _Leaves.
-
-    With fill, each bitmap is the lower half of an irreducible, and the
-    chunk holds its mirror fill.
-    """
+def _leaf_chunks(frobenius: int, masks):
+    """Check the bitmaps on [0, F], CHUNK at a time, and yield each chunk as _Leaves."""
     for batch in _batches(masks):
-        yield _check_leaves(frobenius, _pack(frobenius, batch, fill), len(batch))
+        yield _check_leaves(frobenius, _pack(frobenius, batch), len(batch))
 
 
 def _from_table(table: Submonoid) -> NumericalSemigroup:

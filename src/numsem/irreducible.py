@@ -48,7 +48,6 @@ from .core import (
     NumericalSemigroup,
     Submonoid,
     _coin_table,
-    _leaf_chunks,
     _pack,
 )
 
@@ -191,20 +190,16 @@ def children(s: NumericalSemigroup, ctx: IrreducibleContext) -> list[NumericalSe
     return out
 
 
-def _irreducible_chunks(required, frobenius: int):
-    """The checked chunks of irreducibles (see core._leaf_chunks), in gap order.
-
-    Feasibility is checked at the call, not on the first chunk.  Each
-    chunk holds the mirror fills of CHUNK lower halves.
-    """
-    ctx = make_context(required, frobenius)
-    halves = _search(ctx.monoid.member_mask(), frobenius, (frobenius - 1) // 2)
-    return _leaf_chunks(frobenius, halves, fill=True)
-
-
 def _expand_levels(required, frobenius: int) -> list[NumericalSemigroup]:
-    """Every irreducible of the problem, in gap order, with its minimal generators cached."""
-    return [s for leaves in _irreducible_chunks(required, frobenius) for s in leaves.semigroups()]
+    """Every irreducible of the problem, in gap order, with its minimal generators cached.
+
+    They are the maximal avoiders of the single value F.
+    """
+    from .maxavoid import _avoider_chunks  # maxavoid imports this module
+
+    if frobenius < 1:
+        raise ValueError("the Frobenius number must be positive")
+    return [s for leaves in _avoider_chunks(required, (frobenius,)) for s in leaves.semigroups()]
 
 
 def enumerate_irreducibles(required, frobenius: int) -> list[NumericalSemigroup]:

@@ -34,6 +34,16 @@ removed d (d in down(X)) need the test:
 A candidate agrees with its bottom below t/2, where distinct bottoms
 differ, so the candidates come in gap order by construction.
 
+The bottoms are packed CHUNK at a time, one block each, with their
+reflection and their mirror-filled tops (see core._halves).  When no
+top of a chunk meets B, as always for B = {t}, whose maximal avoiders
+are the irreducibles with Frobenius number t, the tops go to the chunk
+check as they are.  Otherwise down(X) of every block is one shift of
+the reflection per b below t, and the witness test runs a column at a
+time: for each d that some block removes, one packed doubling by t - d
+and an OR of shifts by each b mark the blocks that meet B, and the
+blocks that removed d and miss B are dropped (see _witness).
+
 Apery vectors at modulus t + 1 give an independent reference: the
 componentwise order reverses inclusion and the componentwise max is the
 vector of the intersection, so the maximal avoiders are the semigroups of
@@ -43,7 +53,9 @@ The tests compare against that form.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from itertools import compress
 
 from . import errors
 from .core import (
@@ -52,11 +64,12 @@ from .core import (
     _add_generator,
     _batches,
     _bit_positions,
+    _check_leaves,
     _coin_table,
-    _leaf_chunks,
-    _pack,
+    _fold,
+    _halves,
+    _ones,
     _stride,
-    _unpack,
     apery_vector,
     normalize_genset,
     semigroup_from_apery_vector,  # noqa: F401  bench/tracer.py wraps it in this namespace
@@ -126,50 +139,89 @@ def pareto_minimal(vectors) -> list[AperyVector]:
 def maximal_avoiding(required, forbidden) -> list[NumericalSemigroup]:
     """All maximal semigroups containing the required set and avoiding the forbidden one.
 
-    The bitmaps of _avoider_masks, checked a chunk at a time as
-    from_mask checks one bitmap, with their minimal generators cached;
-    callers need not validate them again.  Raises Infeasible when a
-    forbidden value is generated by the required set.  Output is sorted
-    by gap list.
+    The semigroups of the chunks of _avoider_chunks, checked as from_mask
+    checks one bitmap, with their minimal generators cached; callers need
+    not validate them again.  Raises Infeasible when a forbidden value is
+    generated by the required set.  Output is sorted by gap list.
     """
-    t, masks = _avoider_masks(required, forbidden)
-    return [s for leaves in _leaf_chunks(t, masks) for s in leaves.semigroups()]
+    return [s for leaves in _avoider_chunks(required, forbidden) for s in leaves.semigroups()]
 
 
-def _avoider_masks(required, forbidden):
-    """t = max(forbidden), and an iterator over the member bitmaps of the maximal avoiders.
+def _avoider_chunks(required, forbidden):
+    """The maximal avoiders as checked chunks (see core._check_leaves), in gap order.
 
     One candidate per class bottom, a leaf of the prefix search with
-    Frobenius number t that avoids the forbidden set, kept when, for
-    every gap t - d left by a removed d, the monoid generated by it and
-    the candidate meets the forbidden set (see the module docstring for
-    why no other gap needs the test).  Feasibility is checked at the
-    call, not on the first bitmap.  The bitmaps come in gap order.
+    Frobenius number t = max(forbidden) that avoids the forbidden set,
+    kept when it passes the witness test (see _witness).  A chunk holds
+    the survivors of CHUNK bottoms; none is empty.  Feasibility is
+    checked at the call, not on the first chunk.
     """
     forbidden = _forbidden(forbidden)
     monoid = _coin_table(required, forbidden)
-    t = forbidden[-1]
-    return t, _candidates(monoid, t, sum(1 << b for b in forbidden))
+    return _chunks(monoid, forbidden)
 
 
-def _candidates(monoid, t: int, avoid: int):
-    """The maximal avoiders of the bitmap avoid on [0, t] over the monoid (see _avoider_masks).
+def _chunks(monoid, forbidden: tuple[int, ...]):
+    """The generator of _avoider_chunks, over the coin table of the required set.
 
-    The class tops, the mirror fills of the bottoms, are filled a chunk at a time.
+    A chunk of bottoms is packed once.  When no top meets the forbidden
+    set, the tops are the candidates.  No top holds t, and the chunk
+    check tests bit t, so the tops are tested for the values below t
+    only, and not at all for a single value.
     """
+    t = forbidden[-1]
+    stride = _stride(t)
+    avoid = sum(1 << b for b in forbidden)
+    below = avoid ^ 1 << t
     need = sum(1 << a for a in monoid.generators if a <= t)
     for bottoms in _batches(_search(monoid.member_mask(), t, (t - 1) // 2, avoid)):
-        tops = _unpack(_pack(t, bottoms, fill=True), len(bottoms), _stride(t))
-        for bottom, mask in zip(bottoms, tops):
-            hit = mask & avoid  # X = B & D, since bottom avoids B
-            if hit:
-                # the removable d with x - d in bottom for some x in X
-                down = sum(1 << d for d in _bit_positions(mask & ~bottom) if bottom << d & hit)
-                mask &= ~down
-                # adding the gap t - d must generate some b in B
-                if not all(_add_generator(mask, t - d, t) & avoid for d in _bit_positions(down)):
-                    continue
-            # contains_genset and avoids_genset, on the bitmap
-            assert mask & need == need, mask
-            assert not mask & avoid, mask
-            yield mask
+        count = len(bottoms)
+        packed, mirror, tops = _halves(t, bottoms)
+        ones = _ones(count, stride)
+        if below and tops & ones * below:
+            tops, count = _witness(t, forbidden, packed, mirror, tops, count)
+            ones = _ones(count, stride)
+            assert not tops & ones * below, tops  # avoids_genset, on every bitmap
+        needed = ones * need
+        assert tops & needed == needed, tops  # contains_genset, on every bitmap
+        if count:
+            yield _check_leaves(t, tops, count)
+
+
+def _witness(t: int, forbidden: tuple[int, ...], bottoms: int, mirror: int, tops: int,
+             count: int) -> tuple[int, int]:
+    """The candidates of a packed chunk of class bottoms that pass the witness test, and how many.
+
+    down(X) for every block at once: b - d is in the bottom iff bit d of
+    the reflected bottom (see core._halves) shifted right by
+    stride - 1 - b is set.  The OR runs over B, not X = B & D: a b
+    outside the top adds no d in D, since the top is closed.  So it
+    leaves out t, which no top holds.  Then one column per d removed by
+    some block: the candidates doubled by t - d, and an OR of their
+    shifts by each b, which brings bit b of each block to bit 0, mark
+    the blocks that meet B.  A block that removed d and misses B fails,
+    and one compress over the block slices drops the failed blocks.
+    """
+    stride = _stride(t)
+    ones = _ones(count, stride)
+    span = ones * ((2 << t) - 1)  # [0, t] in every block
+    down = 0
+    for b in forbidden[:-1]:
+        down |= mirror >> (stride - 1 - b)
+    down &= tops & ~bottoms
+    candidates = tops & ~down
+    failed = 0
+    for d in _bit_positions(_fold(down, count, stride)):
+        grown = _add_generator(candidates, t - d, t, span)
+        meets = 0
+        for b in forbidden:
+            meets |= grown >> b
+        failed |= down >> d & ~meets
+    failed &= ones
+    if not failed:
+        return candidates, count
+    size = stride // 8
+    data = candidates.to_bytes(count * size, "little")
+    keep = (ones & ~failed).to_bytes(count * size, "little")[::size]  # byte 0 of each block
+    kept = compress(struct.unpack(f"{size}s" * count, data), keep)
+    return int.from_bytes(b"".join(kept), "little"), count - failed.bit_count()

@@ -122,7 +122,7 @@ class TestMaximalAndSolve:
     def test_solve_asserts_distinct_solutions(self, monkeypatch):
         mask = sg([4, 9, 15]).member_mask()
         monkeypatch.setattr(
-            cli, "_avoider_masks", lambda required, forbidden: (14, iter([mask, mask]))
+            cli, "_avoider_chunks", lambda required, forbidden: _leaf_chunks(14, [mask, mask])
         )
         with pytest.raises(AssertionError):
             run(["solve", "-A", "4,9", "-B", "11,14"])
@@ -531,3 +531,75 @@ class TestParserReuse:
                 env=dict(os.environ, COLUMNS="80"),
             )
             assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+class TestSubcommandParse:
+    # Every subcommand, help at both levels, abbreviations, repeated options,
+    # "--", and usage errors at both levels.
+    ARGV = [
+        [],
+        ["-h"],
+        ["--help"],
+        ["--he"],
+        ["frobenius"],
+        ["--bogus"],
+        ["--format", "json", "irreducibles", "-F", "11"],
+        ["irreducibles", "-A", "4", "-F", "11"],
+        ["semigroups", "-A", "", "-F", "3"],
+        ["maximal", "-A", "4,9", "-B", "11,14"],
+        ["solve", "-B", "11,14", "-A", "4,9"],
+        ["oracle", "semigroups", "-F", "5"],
+        ["oracle", "irreducibles", "-A", "3", "-F", "7"],
+        ["oracle", "partitions", "5"],
+        ["oracle", "hitting-sets", "-A", "4,9", "-B", "11,14"],
+        ["oracle"],
+        ["oracle", "bogus"],
+        ["irreducibles", "-h"],
+        ["solve", "-B", "5", "--help"],
+        ["semigroups", "-F", "5", "--he"],
+        ["oracle", "-h"],
+        ["oracle", "partitions", "-h"],
+        ["maximal", "-B", "11,13", "--format=json"],
+        ["maximal", "-B", "11,13", "--form", "json"],
+        ["semigroups", "-F", "7", "--lim", "3"],
+        ["irreducibles", "-F", "5", "-F", "7"],
+        ["solve", "-B", "5", "--format", "text", "--format", "json", "-A", "2", "-A", "3"],
+        ["irreducibles", "--", "-F", "5"],
+        ["irreducibles", "-F", "5", "--"],
+        ["oracle", "partitions", "--", "5"],
+        ["irreducibles", "-F", "5", "--bogus"],
+        ["maximal", "-X", "1", "-B", "5"],
+        ["oracle", "partitions", "5", "6"],
+        ["irreducibles", "-A", "4"],
+        ["maximal", "-A", "3"],
+        ["oracle", "hitting-sets", "-A", "3"],
+        ["irreducibles", "-F", "x"],
+        ["irreducibles", "-F", "-5"],
+        ["semigroups", "-F", "5", "--limit", "q"],
+        ["oracle", "partitions", "five"],
+        ["solve", "-B", "5", "--format", "yaml"],
+        ["maximal", "-B"],
+    ]
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        try:
+            result = ("args", vars(parse(argv)))
+        except cli._UsageError as exc:
+            result = ("usage error", str(exc))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_matches_the_top_level_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = self.outcome(cli._parser().parse_args, list(argv), capsys)
+        assert self.outcome(cli._parse, list(argv), capsys) == expected
+
+    def test_a_subcommand_skips_the_top_level_parser(self, monkeypatch):
+        top = cli._parser()
+        monkeypatch.setattr(top, "parse_args", lambda argv: pytest.fail("top-level parse"))
+        assert cli._parse(["irreducibles", "-F", "5"]).command == "irreducibles"
+        assert cli._parse(["oracle", "partitions", "5"]).oracle_command == "partitions"

@@ -11,14 +11,20 @@ from numsem.core import (
     AperyVector,
     NumericalSemigroup,
     Submonoid,
+    _add_generator,
+    _bit_positions,
+    _coin_table,
+    _pack,
+    _unpack,
     apery_vector,
     avoids_genset,
     contains_genset,
     gap_key,
 )
 from numsem.classes import enumerate_with_frobenius
-from numsem.irreducible import enumerate_irreducibles
+from numsem.irreducible import _search, enumerate_irreducibles
 from numsem.maxavoid import (
+    _avoider_chunks,
     _pareto_minimal_coords,
     irreducible_vectors,
     make_problem,
@@ -71,6 +77,79 @@ def apery_maximal_avoiding(required, forbidden):
         (numsem.semigroup_from_apery_vector(v) for v in numsem.pareto_minimal(joined)),
         key=lambda s: s.gaps(),
     )
+
+
+def per_leaf_candidates(monoid, t, avoid, bottoms):
+    """Reference: the witness test one leaf at a time, as it ran before the packed one.
+
+    For each class bottom, the top is its mirror fill; when the top meets
+    the forbidden bitmap avoid, the down-set of X = top & avoid is removed
+    and every gap t - d it leaves must generate some forbidden value.
+    """
+    need = sum(1 << a for a in monoid.generators if a <= t)
+    for bottom in bottoms:
+        mask = _pack(t, [bottom], fill=True)
+        hit = mask & avoid
+        if hit:
+            down = sum(1 << d for d in _bit_positions(mask & ~bottom) if bottom << d & hit)
+            mask &= ~down
+            if not all(_add_generator(mask, t - d, t) & avoid for d in _bit_positions(down)):
+                continue
+        assert mask & need == need, mask
+        assert not mask & avoid, mask
+        yield mask
+
+
+def reference_masks(required, forbidden):
+    """The class bottoms of the query, and the maximal avoiders by the per-leaf test."""
+    monoid = _coin_table(required, forbidden)
+    t, avoid = max(forbidden), sum(1 << b for b in forbidden)
+    bottoms = list(_search(monoid.member_mask(), t, (t - 1) // 2, avoid))
+    return bottoms, list(per_leaf_candidates(monoid, t, avoid, bottoms))
+
+
+def packed_masks(required, forbidden):
+    chunks = list(_avoider_chunks(required, forbidden))
+    assert all(len(leaves) for leaves in chunks), "an empty chunk"
+    return [m for leaves in chunks for m in _unpack(leaves.members, leaves.count, leaves.stride)]
+
+
+class TestPackedWitnessTest:
+    def test_matches_the_per_leaf_test_on_small_inputs(self):
+        checked = rejected = 0
+        for size in (0, 1, 2):
+            for required in itertools.combinations(range(2, 13), size):
+                monoid = Submonoid(required, 24)
+                for size_b in (1, 2, 3):
+                    for forbidden in itertools.combinations(range(1, 25), size_b):
+                        if any(b in monoid for b in forbidden):
+                            continue
+                        bottoms, expected = reference_masks(required, forbidden)
+                        assert packed_masks(required, forbidden) == expected, (required, forbidden)
+                        checked += 1
+                        rejected += len(bottoms) - len(expected)
+        assert checked == 48_990 and rejected > 0
+
+    def test_matches_the_per_leaf_test_across_chunks(self):
+        bottoms, expected = reference_masks((), (61, 67))
+        assert len(bottoms) == 4625
+        assert len(list(_avoider_chunks((), (61, 67)))) == 19
+        assert packed_masks((), (61, 67)) == expected
+
+    def test_a_chunk_where_every_block_fails(self, monkeypatch):
+        required, forbidden = (), (37, 41, 43)
+        monoid = _coin_table(required, forbidden)
+        avoid = sum(1 << b for b in forbidden)
+        bottoms = list(_search(monoid.member_mask(), 43, 21, avoid))
+        failing = [b for b in bottoms if not list(per_leaf_candidates(monoid, 43, avoid, [b]))]
+        assert 0 < len(failing) < len(bottoms)
+        monkeypatch.setattr(numsem.maxavoid, "_search", lambda *args: iter(failing))
+        assert list(_avoider_chunks(required, forbidden)) == []
+        # The failing blocks around one that passes.
+        mixed = failing[:3] + [b for b in bottoms if b not in failing][:1] + failing[3:6]
+        monkeypatch.setattr(numsem.maxavoid, "_search", lambda *args: iter(mixed))
+        assert packed_masks(required, forbidden) == list(
+            per_leaf_candidates(monoid, 43, avoid, mixed))
 
 
 class TestMakeProblem:
