@@ -28,13 +28,15 @@ search leaves in chunks of ``core.CHUNK`` member bitmaps, packed one
 block per leaf into one int, and ``core._check_leaves`` validates a
 whole chunk at once (bit 0 set, bit F clear, nothing above F, and
 additive closure on the sums of the minimal-generator scan), one bigint
-operation per column over every leaf.  A chunk's lines are read off its
-packed generators and members a byte at a time: a table per byte index,
-built on first use, maps each byte value to the joined numbers of its
-set bits, so one ``join`` of lookups per field lists the minimal
-generators and the gaps of every leaf, and one format call per record
-writes the line.  A text line equals ``format_text`` of the record dict,
-and a JSON line equals ``json.dumps`` of it.  ``irreducibles``,
+operation per column over every leaf.  Only ``core`` knows the block
+layout: a chunk carries its bit-0 mask (``core._Leaves.ones``), and
+``core._split`` gives the bytes of each block.  A chunk's lines are
+read off its packed generators and members a byte at a time: a table
+per byte index, built on first use, maps each byte value to the joined
+numbers of its set bits, so one ``join`` of lookups per field lists
+the minimal generators and the gaps of every leaf, and one format call
+per record writes the line.  A text line equals ``format_text`` of the
+record dict, and a JSON line equals ``json.dumps`` of it.  ``irreducibles``,
 ``maximal`` and ``solve`` share one generator of checked chunks, since
 the irreducibles with Frobenius number F are the maximal avoiders of the
 single value F.  ``solve`` renders the maximal avoiders themselves as
@@ -62,18 +64,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import struct
 import sys
-from itertools import cycle
+from itertools import cycle, repeat
 from operator import getitem, lt
 
 from . import errors
 from .classes import _semigroup_chunks
 from .classes import enumerate_with_frobenius  # noqa: F401  bench/tracer.py wraps it here
-from .core import _BIT_REVERSE, NumericalSemigroup, _coin_table, _fold, _leaf_chunks, _Leaves, _ones
+from .core import _BIT_REVERSE, NumericalSemigroup, _coin_table, _fold, _leaf_chunks, _Leaves, _split
 from .frontier import solve  # noqa: F401  bench/tracer.py wraps it in this namespace
 from .maxavoid import _avoider_chunks, _forbidden
-from .maxavoid import maximal_avoiding  # noqa: F401  bench/tracer.py wraps it here
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -225,15 +225,14 @@ def _fields(packed: int, count: int, stride: int, width: int, sep: str) -> list[
     """For each of count blocks, its set positions, all below width, joined by sep.
 
     Bit 0 must be set in every block: its newline starts the block's
-    field.  struct keeps the bytes of each block that hold positions
-    below width, and each byte is looked up in the table of its index.
-    The joined fields hold only digits, commas and newlines, so one
-    replace gives the separator of the format.
+    field.  Each block's bytes that hold positions below width (see
+    core._split) are looked up, byte by byte, in the table of their
+    index.  The joined fields hold only digits, commas and newlines, so
+    one replace gives the separator of the format.
     """
-    size, used = stride // 8, (width + 7) // 8
-    data = b"".join(struct.unpack(f"{used}s{size - used}x" * count,
-                                  packed.to_bytes(count * size, "little")))
-    text = "".join(map(getitem, cycle(list(map(_byte_table, range(used)))), data))
+    blocks = _split(packed, count, stride, width)
+    tables = list(map(_byte_table, range(len(blocks[0]))))
+    text = "".join(map(getitem, cycle(tables), b"".join(blocks)))
     if sep != ",":
         text = text.replace(",", sep)
     return text.split("\n" + sep)[1:]
@@ -242,13 +241,16 @@ def _fields(packed: int, count: int, stride: int, width: int, sep: str) -> list[
 def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
     """The lines of the first count leaves of a chunk, as records of the kind, newline included.
 
-    Bit 0, never a gap or a generator, marks the start of each leaf.  The
-    gaps of a leaf are the positions of [1, F] outside its members.  The
-    genus is the number of gaps, one more than the separators between them.
+    Bit 0, never a gap or a generator, marks the start of each leaf; the
+    chunk's bit-0 mask, cut to count blocks, sets it.  The gaps of a leaf
+    are the positions of [1, F] outside its members.  The genus is the
+    number of gaps, one more than the separators between them.
     """
     frob, stride, sep = leaves.frobenius, leaves.stride, _SEPARATORS[fmt]
-    ones = _ones(count, stride)
-    generators = leaves.generators & ((1 << count * stride) - 1)
+    ones, generators = leaves.ones, leaves.generators
+    if count < len(leaves):
+        low = (1 << count * stride) - 1
+        ones, generators = ones & low, generators & low
     width = _fold(generators, count, stride).bit_length()
     msgs = _fields(generators | ones, count, stride, width, sep)
     gaps = _fields(ones * ((2 << frob) - 1) & ~leaves.members | ones, count, stride, frob + 1, sep)
@@ -377,9 +379,8 @@ def _increasing(chunks):
     """
     last = b""
     for leaves in chunks:
-        size = leaves.stride // 8
-        data = leaves.members.to_bytes(leaves.count * size, "little").translate(_BIT_REVERSE)
-        keys = (last, *struct.unpack(f"{size}s" * leaves.count, data))
+        blocks = _split(leaves.members, leaves.count, leaves.stride)
+        keys = (last, *map(bytes.translate, blocks, repeat(_BIT_REVERSE)))
         assert all(map(lt, keys, keys[1:])), "the solutions must be distinct"
         last = keys[-1]
         yield leaves

@@ -29,6 +29,7 @@ intersections and inclusion tests that the enumeration modules use.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 
@@ -217,7 +218,7 @@ class NumericalSemigroup:
         pair of its first violating x, as for a scan over all of [1, F].
         """
         s = cls(frobenius, mask)
-        window, sums = _scan(frobenius, mask, 1)
+        window, sums = _scan(frobenius, mask, 1, 1)
         gaps = ~mask & ((1 << (frobenius + 1)) - 1)
         if sums & gaps:
             for x in _bit_positions(window):
@@ -313,7 +314,7 @@ class NumericalSemigroup:
         the first read decodes.
         """
         if self._msg is None:
-            window, sums = _scan(self.frobenius, self._mask, 1)
+            window, sums = _scan(self.frobenius, self._mask, 1, 1)
             self._msg = window & ~sums
         if isinstance(self._msg, int):
             self._msg = tuple(_bit_positions(self._msg))
@@ -356,20 +357,21 @@ def _stride(frobenius: int) -> int:
 
 
 def _ones(count: int, stride: int) -> int:
-    """The packed chunk with bit 0 set in each of its count blocks."""
+    """The packed chunk with bit 0 set in each of its count blocks.
+
+    Built once per chunk, where the chunk is packed, and carried on
+    _Leaves; a chunk cut to its first blocks keeps the same cut of it.
+    """
     return int.from_bytes((b"\1" + bytes(stride // 8 - 1)) * count, "little")
 
 
-def _pack(frobenius: int, masks: list[int], fill: bool = False) -> int:
-    """The bitmaps on [0, F] as one int, bitmap i in block i of _stride(F) bits.
+def _pack(frobenius: int, masks: list[int]) -> _Leaves:
+    """The bitmaps on [0, F] as an unchecked chunk, bitmap i in block i of _stride(F) bits.
 
-    With fill, each bitmap is the lower half of an irreducible, and the
-    int holds its mirror fill (see _halves).  See _refuse for a bitmap
-    that does not fit.
+    See _refuse for a bitmap that does not fit.
     """
-    if fill:
-        return _halves(frobenius, masks)[2]
-    return int.from_bytes(b"".join(_blocks(frobenius, masks)), "little")
+    packed = int.from_bytes(b"".join(_blocks(frobenius, masks)), "little")
+    return _Leaves(frobenius, len(masks), packed, _ones(len(masks), _stride(frobenius)))
 
 
 def _blocks(frobenius: int, masks: list[int]) -> list[bytes]:
@@ -380,27 +382,38 @@ def _blocks(frobenius: int, masks: list[int]) -> list[bytes]:
         _refuse(frobenius, masks)
 
 
-def _halves(frobenius: int, masks: list[int]) -> tuple[int, int, int]:
-    """The packed lower halves of irreducibles, their reflection and their mirror fills.
+def _halves(frobenius: int, masks: list[int]) -> tuple[int, int, _Leaves]:
+    """The packed lower halves of irreducibles, their reflection, and their mirror fills as a chunk.
 
     Reversing all the bits of the blocks taken in reverse order turns
     bit y of bitmap i into bit stride - 1 - y of block i: that is the
     reflection.  One shift of it puts each mirror F - y in place, and
     the fill adds every x in (F/2, F) whose mirror F - x the bitmap lacks.
+    The fills are the unchecked chunk, and they carry its bit-0 mask.
     """
     stride = _stride(frobenius)
     blocks = _blocks(frobenius, masks)
     packed = int.from_bytes(b"".join(blocks), "little")
     mirror = int.from_bytes(b"".join(reversed(blocks)).translate(_BIT_REVERSE), "big")
-    upper = _ones(len(masks), stride) * ((1 << frobenius) - (1 << (frobenius // 2 + 1)))
-    return packed, mirror, packed | upper & ~(mirror >> (stride - 1 - frobenius))
+    ones = _ones(len(masks), stride)
+    upper = ones * ((1 << frobenius) - (1 << (frobenius // 2 + 1)))
+    tops = packed | upper & ~(mirror >> (stride - 1 - frobenius))
+    return packed, mirror, _Leaves(frobenius, len(masks), tops, ones)
+
+
+def _split(packed: int, count: int, stride: int, width: int | None = None) -> tuple[bytes, ...]:
+    """The bytes of each of the count blocks of a packed chunk, in order, little-endian.
+
+    With width, only the bytes of each block that hold its bits below width.
+    """
+    size = stride // 8
+    used = size if width is None else (width + 7) // 8
+    return struct.unpack(f"{used}s{size - used}x" * count, packed.to_bytes(count * size, "little"))
 
 
 def _unpack(packed: int, count: int, stride: int) -> list[int]:
     """The count blocks of a packed chunk, in order."""
-    width = stride // 8
-    data = packed.to_bytes(count * width, "little")
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    return list(map(int.from_bytes, _split(packed, count, stride), repeat("little")))
 
 
 def _fold(packed: int, count: int, stride: int) -> int:
@@ -412,20 +425,20 @@ def _fold(packed: int, count: int, stride: int) -> int:
     return packed
 
 
-def _scan(frobenius: int, members: int, count: int) -> tuple[int, int]:
+def _scan(frobenius: int, members: int, count: int, ones: int) -> tuple[int, int]:
     """The window members of each packed bitmap on [0, F], and the sums of their generator scan.
 
-    Block i's window is [1, F + m], m its least nonzero member, which is
-    at most F + 1 (see minimal_generators).  A guard bit at F + 1 makes
-    bit m the lowest set bit of the nonzero members, found in every block
-    by one subtraction.  Each column x, a member of some block up to
+    ones is bit 0 of each of the count blocks (see _ones).  Block i's
+    window is [1, F + m], m its least nonzero member, which is at most
+    F + 1 (see minimal_generators).  A guard bit at F + 1 makes bit m the
+    lowest set bit of the nonzero members, found in every block by one
+    subtraction.  Each column x, a member of some block up to
     (F + max m)/2, adds the sums x + y of every block holding x in one
     shift.  A shift past a block's own (F + m)/2 adds only true sums, so
     the minimal generators (the window members that are no sum) and the
     closure verdict (no sum is a gap) are those of each block alone.
     """
     stride = _stride(frobenius)
-    ones = _ones(count, stride)
     nonzero = members & ~ones
     guarded = nonzero | ones << (frobenius + 1)
     least = guarded & ~(guarded - ones)
@@ -440,23 +453,39 @@ def _scan(frobenius: int, members: int, count: int) -> tuple[int, int]:
 
 
 class _Leaves:
-    """A checked chunk of bitmaps with one Frobenius number F, packed one block per bitmap.
+    """A chunk of bitmaps with one Frobenius number F, packed one block per bitmap.
 
-    Block i of members holds bitmap i on [0, F], and block i of
-    generators its minimal generators.
+    Block i of members holds bitmap i on [0, F], and ones has bit 0 of
+    each block set.  generators is None until _check_leaves has checked
+    the chunk; then block i of it holds the minimal generators of bitmap i.
     """
 
-    __slots__ = ("frobenius", "count", "stride", "members", "generators")
+    __slots__ = ("frobenius", "count", "stride", "members", "ones", "generators")
 
-    def __init__(self, frobenius: int, count: int, members: int, generators: int):
+    def __init__(self, frobenius: int, count: int, members: int, ones: int):
         self.frobenius = frobenius
         self.count = count
         self.stride = _stride(frobenius)
         self.members = members
-        self.generators = generators
+        self.ones = ones
+        self.generators: int | None = None
 
     def __len__(self) -> int:
         return self.count
+
+    def without(self, drop: int) -> _Leaves:
+        """The unchecked chunk of the blocks, in order, whose bit 0 is clear in drop.
+
+        drop holds bit 0 of some blocks and nothing else.  One compress
+        over the block bytes keeps the others, and the bit-0 mask is cut
+        to their count.
+        """
+        size = self.stride // 8
+        keep = (self.ones & ~drop).to_bytes(self.count * size, "little")[::size]  # byte 0 of each block
+        kept = compress(_split(self.members, self.count, self.stride), keep)
+        count = self.count - drop.bit_count()
+        ones = self.ones & ((1 << count * self.stride) - 1)
+        return _Leaves(self.frobenius, count, int.from_bytes(b"".join(kept), "little"), ones)
 
     def semigroups(self) -> list[NumericalSemigroup]:
         """The semigroups, built by the raw constructor, with their generator bitmaps cached."""
@@ -469,21 +498,21 @@ class _Leaves:
         return out
 
 
-def _check_leaves(frobenius: int, members: int, count: int) -> _Leaves:
-    """Validate count packed bitmaps on [0, F] at once, and find their minimal generators.
+def _check_leaves(leaves: _Leaves) -> _Leaves:
+    """Validate a chunk of bitmaps on [0, F] at once, and set their minimal generators.
 
     The checks of from_mask, each one AND over the chunk: bit 0 set, bit
     F clear and nothing above F, then no sum of the scan on a gap.  F
-    must be positive.
+    must be positive.  Returns the chunk.
     """
-    stride = _stride(frobenius)
-    ones = _ones(count, stride)
+    frobenius, count, members, ones = leaves.frobenius, leaves.count, leaves.members, leaves.ones
     span = ones * ((2 << frobenius) - 1)  # [0, F] in every block
     raw = members & ones == ones and not members & (ones << frobenius | ~span)
-    window, sums = _scan(frobenius, members, count)
+    window, sums = _scan(frobenius, members, count, ones)
     if not raw or sums & span & ~members:
-        _refuse(frobenius, _unpack(members, count, stride))
-    return _Leaves(frobenius, count, members, window & ~sums)
+        _refuse(frobenius, _unpack(members, count, leaves.stride))
+    leaves.generators = window & ~sums
+    return leaves
 
 
 def _refuse(frobenius: int, masks: list[int]):
@@ -506,7 +535,7 @@ def _batches(items):
 def _leaf_chunks(frobenius: int, masks):
     """Check the bitmaps on [0, F], CHUNK at a time, and yield each chunk as _Leaves."""
     for batch in _batches(masks):
-        yield _check_leaves(frobenius, _pack(frobenius, batch), len(batch))
+        yield _check_leaves(_pack(frobenius, batch))
 
 
 def _from_table(table: Submonoid) -> NumericalSemigroup:

@@ -20,6 +20,8 @@ verification layer for the solver's output.
 
 from __future__ import annotations
 
+from operator import lt
+
 from . import errors
 from .core import Submonoid, normalize_genset
 from .maxavoid import maximal_avoiding
@@ -36,7 +38,7 @@ def solve(required, forbidden) -> list[tuple[int, ...]]:
     """
     semigroups = maximal_avoiding(required, forbidden)
     solutions = [s.gaps() for s in semigroups]
-    assert len(set(solutions)) == len(solutions)
+    assert all(map(lt, solutions, solutions[1:]))
     return solutions
 
 

@@ -48,7 +48,7 @@ from .core import (
     NumericalSemigroup,
     Submonoid,
     _coin_table,
-    _pack,
+    _halves,
 )
 
 
@@ -88,7 +88,7 @@ def irreducible_closure(s: NumericalSemigroup) -> NumericalSemigroup:
     """
     if s.is_full:
         raise errors.FullSemigroup("the full semigroup has no gaps to fill")
-    return NumericalSemigroup(s.frobenius, _pack(s.frobenius, [s.member_mask()], fill=True))
+    return NumericalSemigroup(s.frobenius, _halves(s.frobenius, [s.member_mask()])[2].members)
 
 
 def _search(mask: int, frobenius: int, last: int, avoid: int = 0):
@@ -134,7 +134,7 @@ def make_context(required, frobenius: int) -> IrreducibleContext:
     if frobenius < 1:
         raise ValueError("the Frobenius number must be positive")
     monoid = _coin_table(required, (frobenius,))
-    root = NumericalSemigroup(frobenius, _pack(frobenius, [monoid.member_mask()], fill=True))
+    root = irreducible_closure(NumericalSemigroup(frobenius, monoid.member_mask()))
     return IrreducibleContext(monoid.generators, frobenius, monoid, root)
 
 

@@ -35,14 +35,16 @@ A candidate agrees with its bottom below t/2, where distinct bottoms
 differ, so the candidates come in gap order by construction.
 
 The bottoms are packed CHUNK at a time, one block each, with their
-reflection and their mirror-filled tops (see core._halves).  When no
+reflection and their mirror-filled tops (see core._halves), which carry
+the chunk's bit-0 mask; core alone knows the block layout.  When no
 top of a chunk meets B, as always for B = {t}, whose maximal avoiders
 are the irreducibles with Frobenius number t, the tops go to the chunk
 check as they are.  Otherwise down(X) of every block is one shift of
 the reflection per b below t, and the witness test runs a column at a
 time: for each d that some block removes, one packed doubling by t - d
 and an OR of shifts by each b mark the blocks that meet B, and the
-blocks that removed d and miss B are dropped (see _witness).
+blocks that removed d and miss B are dropped (see _witness), which cuts
+the bit-0 mask to the blocks kept.
 
 Apery vectors at modulus t + 1 give an independent reference: the
 componentwise order reverses inclusion and the componentwise max is the
@@ -53,9 +55,7 @@ The tests compare against that form.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from itertools import compress
 
 from . import errors
 from .core import (
@@ -68,8 +68,7 @@ from .core import (
     _coin_table,
     _fold,
     _halves,
-    _ones,
-    _stride,
+    _Leaves,
     apery_vector,
     normalize_genset,
     semigroup_from_apery_vector,  # noqa: F401  bench/tracer.py wraps it in this namespace
@@ -164,64 +163,53 @@ def _avoider_chunks(required, forbidden):
 def _chunks(monoid, forbidden: tuple[int, ...]):
     """The generator of _avoider_chunks, over the coin table of the required set.
 
-    A chunk of bottoms is packed once.  When no top meets the forbidden
-    set, the tops are the candidates.  No top holds t, and the chunk
-    check tests bit t, so the tops are tested for the values below t
-    only, and not at all for a single value.
+    A chunk of bottoms is packed once, with the bit-0 mask of its tops.
+    When no top meets the forbidden set, the tops are the candidates.  No
+    top holds t, and the chunk check tests bit t, so the tops are tested
+    for the values below t only, and not at all for a single value.
     """
     t = forbidden[-1]
-    stride = _stride(t)
     avoid = sum(1 << b for b in forbidden)
     below = avoid ^ 1 << t
     need = sum(1 << a for a in monoid.generators if a <= t)
     for bottoms in _batches(_search(monoid.member_mask(), t, (t - 1) // 2, avoid)):
-        count = len(bottoms)
         packed, mirror, tops = _halves(t, bottoms)
-        ones = _ones(count, stride)
-        if below and tops & ones * below:
-            tops, count = _witness(t, forbidden, packed, mirror, tops, count)
-            ones = _ones(count, stride)
-            assert not tops & ones * below, tops  # avoids_genset, on every bitmap
-        needed = ones * need
-        assert tops & needed == needed, tops  # contains_genset, on every bitmap
-        if count:
-            yield _check_leaves(t, tops, count)
+        if below and tops.members & tops.ones * below:
+            tops = _witness(forbidden, packed, mirror, tops)
+            assert not tops.members & tops.ones * below, tops.members  # avoids_genset, each bitmap
+        needed = tops.ones * need
+        assert tops.members & needed == needed, tops.members  # contains_genset, each bitmap
+        if len(tops):
+            yield _check_leaves(tops)
 
 
-def _witness(t: int, forbidden: tuple[int, ...], bottoms: int, mirror: int, tops: int,
-             count: int) -> tuple[int, int]:
-    """The candidates of a packed chunk of class bottoms that pass the witness test, and how many.
+def _witness(forbidden: tuple[int, ...], bottoms: int, mirror: int, tops: _Leaves) -> _Leaves:
+    """The candidates of a packed chunk of class bottoms that pass the witness test.
 
-    down(X) for every block at once: b - d is in the bottom iff bit d of
-    the reflected bottom (see core._halves) shifted right by
-    stride - 1 - b is set.  The OR runs over B, not X = B & D: a b
-    outside the top adds no d in D, since the top is closed.  So it
+    tops holds the mirror fills of the bottoms, with Frobenius number
+    t = max(forbidden).  down(X) for every block at once: b - d is in the
+    bottom iff bit d of the reflected bottom (see core._halves) shifted
+    right by stride - 1 - b is set.  The OR runs over B, not X = B & D: a
+    b outside the top adds no d in D, since the top is closed.  So it
     leaves out t, which no top holds.  Then one column per d removed by
     some block: the candidates doubled by t - d, and an OR of their
     shifts by each b, which brings bit b of each block to bit 0, mark
     the blocks that meet B.  A block that removed d and misses B fails,
-    and one compress over the block slices drops the failed blocks.
+    and the chunk drops the failed blocks (see core._Leaves.without).
     """
-    stride = _stride(t)
-    ones = _ones(count, stride)
+    t, count, stride, ones = tops.frobenius, tops.count, tops.stride, tops.ones
     span = ones * ((2 << t) - 1)  # [0, t] in every block
     down = 0
     for b in forbidden[:-1]:
         down |= mirror >> (stride - 1 - b)
-    down &= tops & ~bottoms
-    candidates = tops & ~down
+    down &= tops.members & ~bottoms
+    candidates = _Leaves(t, count, tops.members & ~down, ones)
     failed = 0
     for d in _bit_positions(_fold(down, count, stride)):
-        grown = _add_generator(candidates, t - d, t, span)
+        grown = _add_generator(candidates.members, t - d, t, span)
         meets = 0
         for b in forbidden:
             meets |= grown >> b
         failed |= down >> d & ~meets
     failed &= ones
-    if not failed:
-        return candidates, count
-    size = stride // 8
-    data = candidates.to_bytes(count * size, "little")
-    keep = (ones & ~failed).to_bytes(count * size, "little")[::size]  # byte 0 of each block
-    kept = compress(struct.unpack(f"{size}s" * count, data), keep)
-    return int.from_bytes(b"".join(kept), "little"), count - failed.bit_count()
+    return candidates.without(failed) if failed else candidates

@@ -465,7 +465,7 @@ class TestFullWidthRenderer:
 
     @staticmethod
     def rendered(frob, masks, count, fmt, kind):
-        leaves = _check_leaves(frob, _pack(frob, masks), len(masks))
+        leaves = _check_leaves(_pack(frob, masks))
         return cli._render(leaves, count, fmt, kind).splitlines()
 
     def test_every_frobenius_number(self):

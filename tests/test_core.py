@@ -13,8 +13,9 @@ from numsem.core import (
     NumericalSemigroup,
     Submonoid,
     _bit_positions,
+    _halves,
     _leaf_chunks,
-    _pack,
+    _ones,
     _stride,
     _unpack,
     apery,
@@ -114,6 +115,7 @@ def chunked(frob, masks):
         chunks = list(_leaf_chunks(frob, masks))
     except errors.ClosureViolation as exc:
         return "violation", (exc.x, exc.y)
+    assert all(c.ones == _ones(len(c), c.stride) for c in chunks)
     return [len(c) for c in chunks], [s for c in chunks for s in c.semigroups()]
 
 
@@ -205,7 +207,9 @@ class TestLeafChunks:
             halves = [rng.getrandbits((frob + 1) // 2) | 1 for _ in range(CHUNK + 3)]
             upper = range(frob // 2 + 1, frob)
             expected = [h | sum(1 << x for x in upper if not h >> (frob - x) & 1) for h in halves]
-            assert _unpack(_pack(frob, halves, fill=True), len(halves), _stride(frob)) == expected
+            tops = _halves(frob, halves)[2]
+            assert _unpack(tops.members, len(halves), _stride(frob)) == expected
+            assert tops.ones == _ones(len(halves), _stride(frob))
 
 
 class TestNormalize:

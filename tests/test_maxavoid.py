@@ -14,7 +14,8 @@ from numsem.core import (
     _add_generator,
     _bit_positions,
     _coin_table,
-    _pack,
+    _halves,
+    _ones,
     _unpack,
     apery_vector,
     avoids_genset,
@@ -26,6 +27,7 @@ from numsem.irreducible import _search, enumerate_irreducibles
 from numsem.maxavoid import (
     _avoider_chunks,
     _pareto_minimal_coords,
+    _witness,
     irreducible_vectors,
     make_problem,
     maximal_avoiding,
@@ -88,7 +90,7 @@ def per_leaf_candidates(monoid, t, avoid, bottoms):
     """
     need = sum(1 << a for a in monoid.generators if a <= t)
     for bottom in bottoms:
-        mask = _pack(t, [bottom], fill=True)
+        mask = _halves(t, [bottom])[2].members
         hit = mask & avoid
         if hit:
             down = sum(1 << d for d in _bit_positions(mask & ~bottom) if bottom << d & hit)
@@ -111,6 +113,7 @@ def reference_masks(required, forbidden):
 def packed_masks(required, forbidden):
     chunks = list(_avoider_chunks(required, forbidden))
     assert all(len(leaves) for leaves in chunks), "an empty chunk"
+    assert all(leaves.ones == _ones(len(leaves), leaves.stride) for leaves in chunks)
     return [m for leaves in chunks for m in _unpack(leaves.members, leaves.count, leaves.stride)]
 
 
@@ -145,6 +148,10 @@ class TestPackedWitnessTest:
         assert 0 < len(failing) < len(bottoms)
         monkeypatch.setattr(numsem.maxavoid, "_search", lambda *args: iter(failing))
         assert list(_avoider_chunks(required, forbidden)) == []
+        # Its witness test keeps no block, and the bit-0 mask is cut to none.
+        packed, mirror, tops = _halves(43, failing)
+        kept = _witness(forbidden, packed, mirror, tops)
+        assert (len(kept), kept.members, kept.ones) == (0, 0, _ones(0, tops.stride))
         # The failing blocks around one that passes.
         mixed = failing[:3] + [b for b in bottoms if b not in failing][:1] + failing[3:6]
         monkeypatch.setattr(numsem.maxavoid, "_search", lambda *args: iter(mixed))
