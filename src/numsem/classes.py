@@ -41,11 +41,12 @@ from .core import (
     NumericalSemigroup,
     Submonoid,
     _bit_positions,
+    _coin_table,
     _leaf_chunks,
     contains_genset,
     gap_key,
 )
-from .irreducible import IrreducibleContext, _search, make_context
+from .irreducible import IrreducibleContext, _search
 
 MAX_REMOVABLE = 30
 
@@ -144,10 +145,14 @@ def frobenius_class(s: NumericalSemigroup, ctx: IrreducibleContext) -> Frobenius
 def _semigroup_chunks(required, frobenius: int):
     """The checked chunks (see core._leaf_chunks) of the leaves of the prefix search over [1, F).
 
-    Feasibility is checked at the call, not on the first chunk.
+    The search starts from the coin table of the required set on [0, F],
+    which raises Infeasible when it holds F.  Feasibility is checked at
+    the call, not on the first chunk.
     """
-    ctx = make_context(required, frobenius)
-    return _leaf_chunks(frobenius, _search(ctx.monoid.member_mask(), frobenius, frobenius - 1))
+    if frobenius < 1:
+        raise ValueError("the Frobenius number must be positive")
+    monoid = _coin_table(required, (frobenius,))
+    return _leaf_chunks(frobenius, _search(monoid.member_mask(), frobenius, frobenius - 1))
 
 
 def enumerate_with_frobenius(required, frobenius: int) -> list[NumericalSemigroup]:

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from itertools import cycle, repeat
 from operator import getitem, lt
@@ -338,6 +337,8 @@ def _dispatch(args):
     """
     command = args.oracle_command if args.command == "oracle" else args.command
     if command == "partitions":
+        import json
+
         from . import oracle
 
         line = format_text if args.format == "text" else json.dumps
@@ -414,19 +415,14 @@ def run(argv=None) -> int:
     """Parse, execute, write records; returns the process exit code."""
     try:
         args = _parse(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:
-        # argparse exits 0 for --help; anything else is a usage problem.
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-
-    try:
         if args.parallel < 1:
             raise _UsageError("--parallel expects a positive worker count")
         if args.limit is not None and args.limit < 0:
             raise _UsageError("--limit expects a non-negative count")
         batches, render = _dispatch(args)
+    except SystemExit as exc:
+        # argparse exits 0 for --help; anything else is a usage problem.
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

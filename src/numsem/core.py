@@ -14,7 +14,8 @@ Conventions:
     the presentation layer (see the CLI module).
   * Submonoids of (N, +) generated by an arbitrary finite set (the gcd may
     exceed 1) are never materialized as infinite sets; they are bounded
-    membership tables built by the standard coin-problem dynamic program.
+    membership tables of the coin problem, each built one generator at a
+    time by _add_generator.
   * All comparisons against F/2 are done in integers on 2x vs F.
 
 The Apery set of a nonzero member n collects, for each residue class mod
@@ -131,30 +132,30 @@ class Submonoid:
         """One representation of x as ``sum(coeff * gen)``, or None if x is not a member.
 
         Returns (coefficient, generator) pairs with positive coefficients,
-        generators ascending.  Used for infeasibility diagnostics, so
-        clarity beats speed.
+        generators ascending.  The prefix tables P_0 = {0} and P_i, the
+        monoid of the first i of the k generators, are built on [0, x] by
+        _add_generator.  The walk goes from i = k down to 1 and, while x
+        is outside P_(i-1), takes g_i off x.  The index only falls: every
+        representation of an x in P_i but not in P_(i-1) uses g_i, so
+        x - g_i stays in P_i.  So each step takes the g_i of the least i
+        with x in P_i, one bit test per step.
         """
         if x == 0:
             return []
         if x < 0 or x > self.bound or x not in self:
             return None
-        via = [0] * (x + 1)
-        reach = [False] * (x + 1)
-        reach[0] = True
+        prefixes = [1]
         for g in self.generators:
-            if g > x:
-                break
-            for v in range(g, x + 1):
-                if not reach[v] and reach[v - g]:
-                    reach[v] = True
-                    via[v] = g
-        counts: dict[int, int] = {}
-        v = x
-        while v:
-            g = via[v]
-            counts[g] = counts.get(g, 0) + 1
-            v -= g
-        return [(counts[g], g) for g in sorted(counts)]
+            prefixes.append(_add_generator(prefixes[-1], g, x))
+        terms = []
+        for g, below in zip(reversed(self.generators), reversed(prefixes[:-1])):
+            coeff = 0
+            while not below >> x & 1:
+                x -= g
+                coeff += 1
+            if coeff:
+                terms.append((coeff, g))
+        return terms[::-1]
 
 
 class NumericalSemigroup:
@@ -233,25 +234,19 @@ class NumericalSemigroup:
     def from_generators(cls, generators) -> "NumericalSemigroup":
         """The semigroup generated by a set with gcd 1.
 
-        Convenience constructor: closes the generators by dynamic
-        programming, growing the table until a full run of min(generators)
-        consecutive members appears, which certifies that everything above
-        is a member; the largest gap of that table is the Frobenius number,
-        and a table with no gap (1 is a generator) gives N.
+        Convenience constructor: one table of the generators on
+        [0, (a_1 - 1)(a_n - 1)], a_1 and a_n the least and the largest.
+        By Schur's bound (Brauer, "On a problem of partitions", Amer. J.
+        Math. 64, 1942), F <= (a_1 - 1)(a_n - 1) - 1, so the table holds
+        every gap, and its largest gap is the Frobenius number.  A table
+        with no gap (1 is a generator) gives N; its bound is at least 1.
         """
         gens = normalize_genset(generators)
         if not gens:
             raise ValueError("a numerical semigroup needs at least one positive generator")
         if math.gcd(*gens) != 1:
             raise ValueError(f"gcd({list(gens)}) != 1: the complement is infinite")
-        step = gens[0]
-        bound = 2 * gens[-1]
-        while True:
-            table = Submonoid(gens, bound)
-            run = (1 << step) - 1 << (bound - step + 1)
-            if table.member_mask() & run == run:
-                return _from_table(table)
-            bound *= 2
+        return _from_table(Submonoid(gens, max((gens[0] - 1) * (gens[-1] - 1), 1)))
 
     def __contains__(self, x: int) -> bool:
         if x < 0:
@@ -599,16 +594,18 @@ class AperyVector:
 def minimal_generating_set(generators) -> tuple[int, ...]:
     """Minimal system of generators of the monoid closure of a finite set.
 
-    Ascending scan: a generator is kept exactly when the ones kept so far
-    do not already produce it.  Works for any gcd.
+    Ascending scan over one table on [0, max]: a generator is kept exactly
+    when the table of the ones kept so far misses it, and a kept one is
+    added to the table (see _add_generator).  Works for any gcd.
     """
     gens = normalize_genset(generators)
     if not gens:
         raise ValueError("the generator set must contain a positive integer")
-    kept = []
-    for m in gens:
-        if m not in Submonoid(kept, m):
-            kept.append(m)
+    table, kept = 1, []
+    for g in gens:
+        if not table >> g & 1:
+            kept.append(g)
+            table = _add_generator(table, g, gens[-1])
     return tuple(kept)
 
 

@@ -347,10 +347,11 @@ class TestDeterminism:
         ]
 
     def test_import_leaves_the_oracle_out(self):
-        # Only the oracle subcommands and frontier.check_solution import it.
-        code = "import sys, numsem.cli; print('numsem.oracle' in sys.modules)"
+        # Only the oracle subcommands and frontier.check_solution import it,
+        # and only oracle partitions imports json.
+        code = "import sys, numsem.cli; print('numsem.oracle' in sys.modules, 'json' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (result.stdout, result.stderr) == ("False\n", "")
+        assert (result.stdout, result.stderr) == ("False False\n", "")
 
 
 class TestRecordBuilders:

@@ -1,5 +1,7 @@
 """Core value types: membership tables, canonical semigroups, Apery machinery."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from numsem.core import (
     NumericalSemigroup,
     Submonoid,
     _bit_positions,
+    _from_table,
     _halves,
     _leaf_chunks,
     _ones,
@@ -135,6 +138,91 @@ def every_bitmap(frob):
     for mask in range(1, 1 << frob, 2):
         (closed if two_scan_from_mask(frob, mask)[0] == "generators" else open_).append(mask)
     return closed, open_
+
+
+def list_dp_decompose(table, x):
+    """Reference: the list dynamic program that Submonoid.decompose used before the prefix walk.
+
+    via[v] is the first generator, in ascending order, that makes v
+    reachable; the witness follows via down from x.
+    """
+    if x == 0:
+        return []
+    if x < 0 or x > table.bound or x not in table:
+        return None
+    via = [0] * (x + 1)
+    reach = [False] * (x + 1)
+    reach[0] = True
+    for g in table.generators:
+        if g > x:
+            break
+        for v in range(g, x + 1):
+            if not reach[v] and reach[v - g]:
+                reach[v] = True
+                via[v] = g
+    counts = {}
+    v = x
+    while v:
+        g = via[v]
+        counts[g] = counts.get(g, 0) + 1
+        v -= g
+    return [(counts[g], g) for g in sorted(counts)]
+
+
+def per_generator_minimal_generating_set(generators):
+    """Reference: a fresh table of the kept generators on [0, m] for each generator m."""
+    kept = []
+    for m in normalize_genset(generators):
+        if m not in Submonoid(kept, m):
+            kept.append(m)
+    return tuple(kept)
+
+
+def doubling_from_generators(generators):
+    """Reference: tables on [0, 2^j * 2 max] until one ends in a run of min(generators) members."""
+    gens = normalize_genset(generators)
+    step = gens[0]
+    bound = 2 * gens[-1]
+    while True:
+        table = Submonoid(gens, bound)
+        run = (1 << step) - 1 << (bound - step + 1)
+        if table.member_mask() & run == run:
+            return _from_table(table)
+        bound *= 2
+
+
+def small_sets(top, size):
+    """Every non-empty subset of [1, top] with at most size elements."""
+    for k in range(1, size + 1):
+        yield from itertools.combinations(range(1, top + 1), k)
+
+
+class TestRetiredTableBuilders:
+    """The one-table builders against the algorithms they replaced, on full grids."""
+
+    def test_decompose_matches_the_list_dp(self):
+        cases = 0
+        for gens in small_sets(16, 3):
+            table = Submonoid(gens, 40)
+            for x in range(41):
+                assert table.decompose(x) == list_dp_decompose(table, x), (gens, x)
+                cases += 1
+        assert cases == 28_536
+
+    def test_minimal_generating_set_matches_the_per_generator_tables(self):
+        cases = 0
+        for gens in small_sets(20, 4):
+            assert minimal_generating_set(gens) == per_generator_minimal_generating_set(gens), gens
+            cases += 1
+        assert cases == 6_195
+
+    def test_from_generators_matches_the_doubling_search(self):
+        cases = 0
+        for gens in small_sets(24, 3):
+            if math.gcd(*gens) == 1:
+                assert NumericalSemigroup.from_generators(gens) == doubling_from_generators(gens), gens
+                cases += 1
+        assert cases == 1_927
 
 
 class TestLeafChunks:
