@@ -43,6 +43,7 @@ from .core import (
     _bit_positions,
     _coin_table,
     _leaf_chunks,
+    _stride,
     contains_genset,
     gap_key,
 )
@@ -147,12 +148,15 @@ def _semigroup_chunks(required, frobenius: int):
 
     The search starts from the coin table of the required set on [0, F],
     which raises Infeasible when it holds F.  Feasibility is checked at
-    the call, not on the first chunk.
+    the call, not on the first chunk.  Every leaf holds A, so its
+    multiplicity is at most min(A), and the chunks take the stride of
+    that bound (see core._stride).
     """
     if frobenius < 1:
         raise ValueError("the Frobenius number must be positive")
     monoid = _coin_table(required, (frobenius,))
-    return _leaf_chunks(frobenius, _search(monoid.member_mask(), frobenius, frobenius - 1))
+    stride = _stride(frobenius, min((*monoid.generators, frobenius + 1)))
+    return _leaf_chunks(frobenius, _search(monoid.member_mask(), frobenius, frobenius - 1), stride)
 
 
 def enumerate_with_frobenius(required, frobenius: int) -> list[NumericalSemigroup]:

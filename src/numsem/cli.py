@@ -29,14 +29,15 @@ block per leaf into one int, and ``core._check_leaves`` validates a
 whole chunk at once (bit 0 set, bit F clear, nothing above F, and
 additive closure on the sums of the minimal-generator scan), one bigint
 operation per column over every leaf.  Only ``core`` knows the block
-layout: a chunk carries its bit-0 mask (``core._Leaves.ones``), and
-``core._split`` gives the bytes of each block.  A chunk's lines are
-read off its packed generators and members a byte at a time: a table
-per byte index, built on first use, maps each byte value to the joined
-numbers of its set bits, so one ``join`` of lookups per field lists
-the minimal generators and the gaps of every leaf, and one format call
-per record writes the line.  A text line equals ``format_text`` of the
-record dict, and a JSON line equals ``json.dumps`` of it.  ``irreducibles``,
+layout: a chunk carries its block width (``core._Leaves.stride``,
+sized by the query's bound on the multiplicity) and its bit-0 mask
+(``core._Leaves.ones``), and ``core._split`` gives the bytes of each
+block.  A chunk's lines are written in one table pass (see
+:func:`_render`): each record is laid out as byte columns, and each
+byte is looked up in the table of its column, built on first use, so
+one ``join`` of lookups writes every line, with no format call per
+record.  A text line equals ``format_text`` of the record dict, and a
+JSON line equals ``json.dumps`` of it.  ``irreducibles``,
 ``maximal`` and ``solve`` share one generator of checked chunks, since
 the irreducibles with Frobenius number F are the maximal avoiders of the
 single value F.  ``solve`` renders the maximal avoiders themselves as
@@ -201,67 +202,118 @@ def format_text(record: dict) -> str:
     return f"<{msg}> | F={record['frobenius']} g={record['genus']} gaps={{{gaps}}}"
 
 
-# The separator of the numbers in a line, by output format.
-_SEPARATORS = {"text": ",", "json": ", "}
+# The number of set bits of each byte value.
+_POPCOUNT = bytes(b.bit_count() for b in range(256))
 
 
-@functools.cache
-def _byte_table(j: int) -> tuple[str, ...]:
+def _byte_table(j: int, head: str | None = None) -> tuple[str, ...]:
     """For each byte value, the tokens of its set bits as byte j of a bitmap, joined.
 
-    Bit i stands for the token "," + str(8j + i), and bit 0 of byte 0 for
-    a newline.  Built by doubling: the entries with bit i set are those
-    below 2^i, each followed by the token of bit i.
+    Bit i stands for the token "," + str(8j + i).  Built by doubling: the
+    entries with bit i set are those below 2^i, each followed by the
+    token of bit i.  With head, the table of byte 0 of a gap set, which
+    holds bit 1 (1 is a gap of every semigroup but N): head, then the
+    tokens without the leading comma, so bit 1 stands for "1".
     """
+    if head is not None:
+        return tuple(head + entry[1:] for entry in _byte_table(0))
     table = [""]
     for i in range(8 * j, 8 * j + 8):
-        token = f",{i}" if i else "\n"
-        table += [entry + token for entry in table]
+        table += [f"{entry},{i}" for entry in table]
     return tuple(table)
 
 
-def _fields(packed: int, count: int, stride: int, width: int, sep: str) -> list[str]:
-    """For each of count blocks, its set positions, all below width, joined by sep.
+# The tables of bytes 0, 1, ..., each built on first use.
+_BYTE_TABLES: list[tuple[str, ...]] = []
 
-    Bit 0 must be set in every block: its newline starts the block's
-    field.  Each block's bytes that hold positions below width (see
-    core._split) are looked up, byte by byte, in the table of their
-    index.  The joined fields hold only digits, commas and newlines, so
-    one replace gives the separator of the format.
+
+def _byte_tables(count: int) -> list[tuple[str, ...]]:
+    """The table of each byte below count, and of any byte built before."""
+    if len(_BYTE_TABLES) < count:
+        _BYTE_TABLES.extend(map(_byte_table, range(len(_BYTE_TABLES), count)))
+    return _BYTE_TABLES
+
+
+@functools.cache
+def _line_tables(fmt: str, kind: str) -> tuple[str, tuple[str, ...], tuple[str, ...], tuple]:
+    """The fixed text of a record line of the format and kind, for _render.
+
+    The text that ends a line; the table of m, which ends a line and
+    starts the next up to m; the table of byte 0 of the gaps, and for a
+    JSON solution set, that of byte 0 of its elements.  JSON is written
+    with bare commas, which one replace turns into the separator of
+    json.dumps.
     """
-    blocks = _split(packed, count, stride, width)
-    tables = list(map(_byte_table, range(len(blocks[0]))))
-    text = "".join(map(getitem, cycle(tables), b"".join(blocks)))
-    if sep != ",":
-        text = text.replace(",", sep)
-    return text.split("\n" + sep)[1:]
+    if fmt == "text":
+        end, start, elements = "}\n", "<", ()
+    else:
+        end = '],"elements": null}\n' if kind == "semigroup" else "]}\n"
+        start = f'{{"kind": "{kind}","msg": ['
+        elements = _byte_table(0, '],"elements": [') if kind == "solution-set" else ()
+    return end, tuple(f"{end}{start}{m}" for m in range(256)), _byte_table(0, ""), elements
+
+
+@functools.cache
+def _genus_table(frobenius: int, fmt: str) -> tuple[str, ...]:
+    """For each genus g <= F, the text of a record line between its generators and its gaps."""
+    text = "> | F={} g={} gaps={{" if fmt == "text" else '],"frobenius": {},"genus": {},"gaps": ['
+    return tuple(text.format(frobenius, g) for g in range(frobenius + 1))
 
 
 def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
     """The lines of the first count leaves of a chunk, as records of the kind, newline included.
 
-    Bit 0, never a gap or a generator, marks the start of each leaf; the
-    chunk's bit-0 mask, cut to count blocks, sets it.  The gaps of a leaf
-    are the positions of [1, F] outside its members.  The genus is the
-    number of gaps, one more than the separators between them.
+    One table pass writes the whole chunk.  Each leaf is laid out as byte
+    columns: its multiplicity m, the bytes of its other minimal
+    generators, its genus g and the bytes of its gaps, the positions of
+    [1, F] outside its members, which a JSON solution set lists twice.
+    Column j of a packed bitmap holds byte j of each block.  m counts the
+    bits below the least generator of each block, and g its gaps: each
+    byte is turned into its popcount, and the columns are added as ints.
+    F < 255 keeps each total in its own byte, so no carry crosses blocks.
+    The OR of the blocks (core._fold) bounds the generator columns that
+    can be nonzero.  The columns are interleaved a record at a time, by
+    one slice per column, or for a few records by one transposing copy.
+    Each byte is looked up in the table of its column: m's table ends the
+    previous line and starts this one, g's holds the text between the
+    generators and the gaps, and the others list the numbers of their set
+    bits.  So one join writes every line, but for the end of the last,
+    and the text before the first is cut off.
     """
-    frob, stride, sep = leaves.frobenius, leaves.stride, _SEPARATORS[fmt]
-    ones, generators = leaves.ones, leaves.generators
+    frob, stride, size = leaves.frobenius, leaves.stride, leaves.stride // 8
+    assert frob < 255, frob
+    ones, generators, members = leaves.ones, leaves.generators, leaves.members
     if count < len(leaves):
         low = (1 << count * stride) - 1
-        ones, generators = ones & low, generators & low
-    width = _fold(generators, count, stride).bit_length()
-    msgs = _fields(generators | ones, count, stride, width, sep)
-    gaps = _fields(ones * ((2 << frob) - 1) & ~leaves.members | ones, count, stride, frob + 1, sep)
-    if fmt == "text":
-        mid = f"> | F={frob} g="
-        return "".join([f"<{m}{mid}{g.count(sep) + 1} gaps={{{g}}}\n" for m, g in zip(msgs, gaps)])
-    head = f'{{"kind": "{kind}", "msg": ['
-    mid = f'], "frobenius": {frob}, "genus": '
-    solution = kind == "solution-set"
-    return "".join([f'{head}{m}{mid}{g.count(sep) + 1}, "gaps": [{g}], '
-                    f'"elements": {f"[{g}]" if solution else "null"}}}\n'
-                    for m, g in zip(msgs, gaps)])
+        ones, generators, members = ones & low, generators & low, members & low
+    rest = generators & (generators - ones)  # all but the least generator of each block
+    gaps = ones * ((2 << frob) - 1) & ~members
+    used, length = frob // 8 + 1, count * size  # the bytes of [0, F], and of the chunk
+    top = _fold(rest, count, stride)
+    msg = range(max(((top & -top).bit_length() - 1) // 8, 0), (top.bit_length() + 7) // 8)
+    raw, gap = rest.to_bytes(length, "little"), gaps.to_bytes(length, "little")
+    # The popcounts of the bytes of [0, m) in each block, then of its gaps:
+    # column j of both at once, so the sum holds m, then g, of each block.
+    pops = (((generators ^ rest) - ones).to_bytes(length, "little") + gap).translate(_POPCOUNT)
+    counts = sum(int.from_bytes(pops[j::size], "little") for j in range(used))
+    counts = counts.to_bytes(2 * count, "little")
+    layout = [counts[:count], *[raw[j::size] for j in msg],
+              counts[count:], *[gap[j::size] for j in range(used)]]
+    end, multiplicities, first, elements = _line_tables(fmt, kind)
+    byte = _byte_tables(max(msg.stop, used))
+    tables = [multiplicities, *byte[msg.start:msg.stop], _genus_table(frob, fmt), first, *byte[1:used]]
+    if elements:
+        layout += layout[-used:]
+        tables += [elements, *byte[1:used]]
+    record = len(layout)
+    if count < 64:  # one C loop over the bytes costs less than a slice per column
+        columns = memoryview(b"".join(layout)).cast("B", (record, count)).tobytes("F")
+    else:
+        columns = bytearray(count * record)
+        for i, column in enumerate(layout):
+            columns[i::record] = column
+    text = "".join(map(getitem, cycle(tables), columns))[len(end):] + end
+    return text if fmt == "text" else text.replace(",", ", ")
 
 
 # The required option of each query subcommand besides -A, with its settings.

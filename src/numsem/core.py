@@ -234,19 +234,24 @@ class NumericalSemigroup:
     def from_generators(cls, generators) -> "NumericalSemigroup":
         """The semigroup generated by a set with gcd 1.
 
-        Convenience constructor: one table of the generators on
-        [0, (a_1 - 1)(a_n - 1)], a_1 and a_n the least and the largest.
-        By Schur's bound (Brauer, "On a problem of partitions", Amer. J.
-        Math. 64, 1942), F <= (a_1 - 1)(a_n - 1) - 1, so the table holds
-        every gap, and its largest gap is the Frobenius number.  A table
-        with no gap (1 is a generator) gives N; its bound is at least 1.
+        Convenience constructor: one table of the generators a_1 < ... < a_n
+        on [0, bound], where the bound is the smaller of two bounds on F:
+        Schur's (a_1 - 1)(a_n - 1) - 1 (Brauer, "On a problem of
+        partitions", Amer. J. Math. 64, 1942) and, for n >= 2, Erdos and
+        Graham's 2 a_(n-1) floor(a_n / n) - a_n (Acta Arith. 21, 1972),
+        which falls as generators are added.  So the table holds every
+        gap, and its largest gap is the Frobenius number.  A table with
+        no gap (1 is a generator) gives N; its bound is at least 1.
         """
         gens = normalize_genset(generators)
         if not gens:
             raise ValueError("a numerical semigroup needs at least one positive generator")
         if math.gcd(*gens) != 1:
             raise ValueError(f"gcd({list(gens)}) != 1: the complement is infinite")
-        return _from_table(Submonoid(gens, max((gens[0] - 1) * (gens[-1] - 1), 1)))
+        bound = (gens[0] - 1) * (gens[-1] - 1)
+        if len(gens) > 1:
+            bound = min(bound, 2 * gens[-2] * (gens[-1] // len(gens)) - gens[-1])
+        return _from_table(Submonoid(gens, max(bound, 1)))
 
     def __contains__(self, x: int) -> bool:
         if x < 0:
@@ -343,12 +348,19 @@ CHUNK = 256
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _stride(frobenius: int) -> int:
-    """Bits per bitmap in a packed chunk: the least multiple of 8 above 3F + 1.
+def _stride(frobenius: int, multiplicity: int | None = None) -> int:
+    """Bits per bitmap in a packed chunk whose multiplicities are at most the bound.
 
-    The sums of _scan reach 3F + 1, so no shift leaves its own block.
+    The bound m defaults to F + 1, which holds for every numerical
+    semigroup with Frobenius number F.  The generator scan (see _scan)
+    shifts a block's window [1, F + m] by its columns, which stop at
+    (F + m)/2, so its sums reach F + m + (F + m)/2: the stride is the
+    least multiple of 8 above that, 3F + 1 at m = F + 1.  The query
+    gives a smaller bound: m <= min(A), since A lies in every result,
+    and m <= t/2 + 1 for the irreducibles with Frobenius number t >= 3.
     """
-    return (3 * frobenius + 9) // 8 * 8
+    top = frobenius + (frobenius + 1 if multiplicity is None else multiplicity)
+    return (top + top // 2 + 8) // 8 * 8
 
 
 def _ones(count: int, stride: int) -> int:
@@ -360,50 +372,49 @@ def _ones(count: int, stride: int) -> int:
     return int.from_bytes((b"\1" + bytes(stride // 8 - 1)) * count, "little")
 
 
-def _pack(frobenius: int, masks: list[int]) -> _Leaves:
-    """The bitmaps on [0, F] as an unchecked chunk, bitmap i in block i of _stride(F) bits.
+def _pack(frobenius: int, masks: list[int], stride: int | None = None) -> _Leaves:
+    """The bitmaps on [0, F] as an unchecked chunk, bitmap i in block i of stride bits.
 
-    See _refuse for a bitmap that does not fit.
+    The stride defaults to _stride(F).  See _refuse for a bitmap that
+    does not fit.
     """
-    packed = int.from_bytes(b"".join(_blocks(frobenius, masks)), "little")
-    return _Leaves(frobenius, len(masks), packed, _ones(len(masks), _stride(frobenius)))
+    stride = stride or _stride(frobenius)
+    packed = int.from_bytes(b"".join(_blocks(frobenius, masks, stride)), "little")
+    return _Leaves(frobenius, len(masks), packed, _ones(len(masks), stride), stride)
 
 
-def _blocks(frobenius: int, masks: list[int]) -> list[bytes]:
-    """The bytes of each bitmap on [0, F], one block of _stride(F) bits each."""
+def _blocks(frobenius: int, masks: list[int], stride: int) -> list[bytes]:
+    """The bytes of each bitmap on [0, F], one block of stride bits each."""
     try:
-        return list(map(int.to_bytes, masks, repeat(_stride(frobenius) // 8), repeat("little")))
+        return list(map(int.to_bytes, masks, repeat(stride // 8), repeat("little")))
     except OverflowError:
         _refuse(frobenius, masks)
 
 
-def _halves(frobenius: int, masks: list[int]) -> tuple[int, int, _Leaves]:
+def _halves(frobenius: int, masks: list[int], stride: int | None = None) -> tuple[int, int, _Leaves]:
     """The packed lower halves of irreducibles, their reflection, and their mirror fills as a chunk.
 
     Reversing all the bits of the blocks taken in reverse order turns
     bit y of bitmap i into bit stride - 1 - y of block i: that is the
-    reflection.  One shift of it puts each mirror F - y in place, and
-    the fill adds every x in (F/2, F) whose mirror F - x the bitmap lacks.
-    The fills are the unchecked chunk, and they carry its bit-0 mask.
+    reflection.  One shift of it puts each mirror F - y in place, for any
+    stride above F, and the fill adds every x in (F/2, F) whose mirror
+    F - x the bitmap lacks.  The fills are the unchecked chunk, and they
+    carry its bit-0 mask and its stride, _stride(F) by default.
     """
-    stride = _stride(frobenius)
-    blocks = _blocks(frobenius, masks)
+    stride = stride or _stride(frobenius)
+    blocks = _blocks(frobenius, masks, stride)
     packed = int.from_bytes(b"".join(blocks), "little")
     mirror = int.from_bytes(b"".join(reversed(blocks)).translate(_BIT_REVERSE), "big")
     ones = _ones(len(masks), stride)
     upper = ones * ((1 << frobenius) - (1 << (frobenius // 2 + 1)))
     tops = packed | upper & ~(mirror >> (stride - 1 - frobenius))
-    return packed, mirror, _Leaves(frobenius, len(masks), tops, ones)
+    return packed, mirror, _Leaves(frobenius, len(masks), tops, ones, stride)
 
 
-def _split(packed: int, count: int, stride: int, width: int | None = None) -> tuple[bytes, ...]:
-    """The bytes of each of the count blocks of a packed chunk, in order, little-endian.
-
-    With width, only the bytes of each block that hold its bits below width.
-    """
+def _split(packed: int, count: int, stride: int) -> tuple[bytes, ...]:
+    """The bytes of each of the count blocks of a packed chunk, in order, little-endian."""
     size = stride // 8
-    used = size if width is None else (width + 7) // 8
-    return struct.unpack(f"{used}s{size - used}x" * count, packed.to_bytes(count * size, "little"))
+    return struct.unpack(f"{size}s" * count, packed.to_bytes(count * size, "little"))
 
 
 def _unpack(packed: int, count: int, stride: int) -> list[int]:
@@ -420,28 +431,34 @@ def _fold(packed: int, count: int, stride: int) -> int:
     return packed
 
 
-def _scan(frobenius: int, members: int, count: int, ones: int) -> tuple[int, int]:
+def _scan(frobenius: int, members: int, count: int, ones: int, stride: int | None = None) -> tuple[int, int]:
     """The window members of each packed bitmap on [0, F], and the sums of their generator scan.
 
-    ones is bit 0 of each of the count blocks (see _ones).  Block i's
-    window is [1, F + m], m its least nonzero member, which is at most
-    F + 1 (see minimal_generators).  A guard bit at F + 1 makes bit m the
-    lowest set bit of the nonzero members, found in every block by one
-    subtraction.  Each column x, a member of some block up to
-    (F + max m)/2, adds the sums x + y of every block holding x in one
-    shift.  A shift past a block's own (F + m)/2 adds only true sums, so
-    the minimal generators (the window members that are no sum) and the
-    closure verdict (no sum is a gap) are those of each block alone.
+    ones is bit 0 of each of the count blocks of stride bits (see _ones),
+    _stride(F) by default.  Block i's window is [1, F + m], m its least
+    nonzero member, which is at most F + 1 (see minimal_generators).  A
+    guard bit at F + 1 makes bit m the lowest set bit of the nonzero
+    members, found in every block by one subtraction.  Each column x, a
+    member of some block up to (F + max m)/2, adds the sums x + y of
+    every block holding x in one shift.  A shift past a block's own
+    (F + m)/2 adds only true sums, so the minimal generators (the window
+    members that are no sum) and the closure verdict (no sum is a gap)
+    are those of each block alone.  That needs every sum inside its
+    block, which is asserted once per chunk: a stride sized for a smaller
+    multiplicity than a block has would corrupt the next block.
     """
-    stride = _stride(frobenius)
+    stride = stride or _stride(frobenius)
     nonzero = members & ~ones
     guarded = nonzero | ones << (frobenius + 1)
     least = guarded & ~(guarded - ones)
     window = nonzero | (least - ones) << (frobenius + 1)
     # The top bit of the OR of the windows is F + max m.
     columns = _fold(window, count, stride)
+    top = columns.bit_length() - 1
+    columns &= (2 << top // 2) - 1
+    assert top + columns.bit_length() <= stride, f"the sums pass the stride {stride}"
     sums = 0
-    for x in _bit_positions(columns & ((2 << (columns.bit_length() - 1) // 2) - 1)):
+    for x in _bit_positions(columns):
         held = window >> x & ones
         sums |= (window & ((held << stride) - held)) << x
     return window, sums
@@ -450,17 +467,19 @@ def _scan(frobenius: int, members: int, count: int, ones: int) -> tuple[int, int
 class _Leaves:
     """A chunk of bitmaps with one Frobenius number F, packed one block per bitmap.
 
-    Block i of members holds bitmap i on [0, F], and ones has bit 0 of
-    each block set.  generators is None until _check_leaves has checked
+    Block i of members holds bitmap i on [0, F] in stride bits, and ones
+    has bit 0 of each block set.  The stride, from _stride, holds the
+    generator scan of a bitmap whose multiplicity is at most the bound
+    of the query.  generators is None until _check_leaves has checked
     the chunk; then block i of it holds the minimal generators of bitmap i.
     """
 
     __slots__ = ("frobenius", "count", "stride", "members", "ones", "generators")
 
-    def __init__(self, frobenius: int, count: int, members: int, ones: int):
+    def __init__(self, frobenius: int, count: int, members: int, ones: int, stride: int):
         self.frobenius = frobenius
         self.count = count
-        self.stride = _stride(frobenius)
+        self.stride = stride
         self.members = members
         self.ones = ones
         self.generators: int | None = None
@@ -480,7 +499,7 @@ class _Leaves:
         kept = compress(_split(self.members, self.count, self.stride), keep)
         count = self.count - drop.bit_count()
         ones = self.ones & ((1 << count * self.stride) - 1)
-        return _Leaves(self.frobenius, count, int.from_bytes(b"".join(kept), "little"), ones)
+        return _Leaves(self.frobenius, count, int.from_bytes(b"".join(kept), "little"), ones, self.stride)
 
     def semigroups(self) -> list[NumericalSemigroup]:
         """The semigroups, built by the raw constructor, with their generator bitmaps cached."""
@@ -497,14 +516,17 @@ def _check_leaves(leaves: _Leaves) -> _Leaves:
     """Validate a chunk of bitmaps on [0, F] at once, and set their minimal generators.
 
     The checks of from_mask, each one AND over the chunk: bit 0 set, bit
-    F clear and nothing above F, then no sum of the scan on a gap.  F
-    must be positive.  Returns the chunk.
+    F clear and nothing above F, and then no sum of the scan on a gap.
+    A bitmap that fails the first checks is refused before the scan,
+    whose window it could push past the stride.  F must be positive.
+    Returns the chunk.
     """
     frobenius, count, members, ones = leaves.frobenius, leaves.count, leaves.members, leaves.ones
     span = ones * ((2 << frobenius) - 1)  # [0, F] in every block
-    raw = members & ones == ones and not members & (ones << frobenius | ~span)
-    window, sums = _scan(frobenius, members, count, ones)
-    if not raw or sums & span & ~members:
+    if members & ones != ones or members & (ones << frobenius | ~span):
+        _refuse(frobenius, _unpack(members, count, leaves.stride))
+    window, sums = _scan(frobenius, members, count, ones, leaves.stride)
+    if sums & span & ~members:
         _refuse(frobenius, _unpack(members, count, leaves.stride))
     leaves.generators = window & ~sums
     return leaves
@@ -527,10 +549,13 @@ def _batches(items):
         yield batch
 
 
-def _leaf_chunks(frobenius: int, masks):
-    """Check the bitmaps on [0, F], CHUNK at a time, and yield each chunk as _Leaves."""
+def _leaf_chunks(frobenius: int, masks, stride: int | None = None):
+    """Check the bitmaps on [0, F], CHUNK at a time, and yield each chunk as _Leaves.
+
+    The chunks take the stride, _stride(F) by default.
+    """
     for batch in _batches(masks):
-        yield _check_leaves(_pack(frobenius, batch))
+        yield _check_leaves(_pack(frobenius, batch, stride))
 
 
 def _from_table(table: Submonoid) -> NumericalSemigroup:

@@ -69,6 +69,7 @@ from .core import (
     _fold,
     _halves,
     _Leaves,
+    _stride,
     apery_vector,
     normalize_genset,
     semigroup_from_apery_vector,  # noqa: F401  bench/tracer.py wraps it in this namespace
@@ -163,7 +164,8 @@ def _avoider_chunks(required, forbidden):
 def _chunks(monoid, forbidden: tuple[int, ...]):
     """The generator of _avoider_chunks, over the coin table of the required set.
 
-    A chunk of bottoms is packed once, with the bit-0 mask of its tops.
+    A chunk of bottoms is packed once, with the bit-0 mask of its tops,
+    at the stride of the query's multiplicity bound (see core._stride).
     When no top meets the forbidden set, the tops are the candidates.  No
     top holds t, and the chunk check tests bit t, so the tops are tested
     for the values below t only, and not at all for a single value.
@@ -172,8 +174,13 @@ def _chunks(monoid, forbidden: tuple[int, ...]):
     avoid = sum(1 << b for b in forbidden)
     below = avoid ^ 1 << t
     need = sum(1 << a for a in monoid.generators if a <= t)
+    # The least nonzero member of a candidate is at most min(A).  For an
+    # irreducible (B = {t}, t > 2) it is at most x = t // 2 + 1, since x
+    # or its mirror t - x is a member.  The witness test needs stride > 2t.
+    least = min((*monoid.generators, t // 2 + 1 if not below and t > 2 else t + 1))
+    stride = max(_stride(t, least), (2 * t + 8) // 8 * 8 if below else 0)
     for bottoms in _batches(_search(monoid.member_mask(), t, (t - 1) // 2, avoid)):
-        packed, mirror, tops = _halves(t, bottoms)
+        packed, mirror, tops = _halves(t, bottoms, stride)
         if below and tops.members & tops.ones * below:
             tops = _witness(forbidden, packed, mirror, tops)
             assert not tops.members & tops.ones * below, tops.members  # avoids_genset, each bitmap
@@ -191,11 +198,14 @@ def _witness(forbidden: tuple[int, ...], bottoms: int, mirror: int, tops: _Leave
     bottom iff bit d of the reflected bottom (see core._halves) shifted
     right by stride - 1 - b is set.  The OR runs over B, not X = B & D: a
     b outside the top adds no d in D, since the top is closed.  So it
-    leaves out t, which no top holds.  Then one column per d removed by
-    some block: the candidates doubled by t - d, and an OR of their
-    shifts by each b, which brings bit b of each block to bit 0, mark
-    the blocks that meet B.  A block that removed d and misses B fails,
-    and the chunk drops the failed blocks (see core._Leaves.without).
+    leaves out t, which no top holds.  The shift brings bits of the next
+    block, whose bottom may hold members up to t, down to stride - (t - b)
+    and above: outside [0, t] only when the stride exceeds 2t, as _chunks
+    makes it.  Then one column per d removed by some block: the
+    candidates doubled by t - d, and an OR of their shifts by each b,
+    which brings bit b of each block to bit 0, mark the blocks that meet
+    B.  A block that removed d and misses B fails, and the chunk drops
+    the failed blocks (see core._Leaves.without).
     """
     t, count, stride, ones = tops.frobenius, tops.count, tops.stride, tops.ones
     span = ones * ((2 << t) - 1)  # [0, t] in every block
@@ -203,7 +213,7 @@ def _witness(forbidden: tuple[int, ...], bottoms: int, mirror: int, tops: _Leave
     for b in forbidden[:-1]:
         down |= mirror >> (stride - 1 - b)
     down &= tops.members & ~bottoms
-    candidates = _Leaves(t, count, tops.members & ~down, ones)
+    candidates = _Leaves(t, count, tops.members & ~down, ones, stride)
     failed = 0
     for d in _bit_positions(_fold(down, count, stride)):
         grown = _add_generator(candidates.members, t - d, t, span)

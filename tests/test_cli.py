@@ -496,7 +496,14 @@ class TestFullWidthRenderer:
             assert len(table) == 256
             for b, entry in enumerate(table):
                 bits = [8 * j + i for i in range(8) if b >> i & 1]
-                assert entry == "".join(f",{i}" if i else "\n" for i in bits), (j, b)
+                assert entry == "".join(f",{i}" for i in bits), (j, b)
+        # Byte 0 of a gap set holds bit 1 and not bit 0: the token of 1 has no comma.
+        for head in ("", '],"elements": ['):
+            table = cli._byte_table(0, head)
+            assert len(table) == 256
+            for b in range(2, 256, 4):
+                bits = [i for i in range(8) if b >> i & 1]
+                assert table[b] == head + "1" + "".join(f",{i}" for i in bits[1:]), (head, b)
 
 
 class TestParserReuse:

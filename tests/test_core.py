@@ -31,7 +31,9 @@ from numsem.core import (
     normalize_genset,
     semigroup_from_apery_vector,
 )
+from numsem.classes import _semigroup_chunks
 from numsem.irreducible import enumerate_irreducibles
+from numsem.maxavoid import _avoider_chunks
 from numsem.oracle import all_semigroups_with_frobenius
 
 sg = NumericalSemigroup.from_generators
@@ -112,10 +114,10 @@ def uncached(s):
     return NumericalSemigroup(s.frobenius, s.member_mask())
 
 
-def chunked(frob, masks):
+def chunked(frob, masks, stride=None):
     """The chunk check of the masks: the chunk sizes and the semigroups, or the first violation."""
     try:
-        chunks = list(_leaf_chunks(frob, masks))
+        chunks = list(_leaf_chunks(frob, masks, stride))
     except errors.ClosureViolation as exc:
         return "violation", (exc.x, exc.y)
     assert all(c.ones == _ones(len(c), c.stride) for c in chunks)
@@ -130,6 +132,12 @@ def one_at_a_time(frob, masks):
         return "violation", (exc.x, exc.y)
     sizes = [min(CHUNK, len(masks) - i) for i in range(0, len(masks), CHUNK)]
     return sizes, semigroups
+
+
+def multiplicity(frob, mask):
+    """The least nonzero member of the semigroup whose bitmap on [0, F] is mask."""
+    nonzero = mask & ~1
+    return (nonzero & -nonzero).bit_length() - 1 if nonzero else frob + 1
 
 
 def every_bitmap(frob):
@@ -223,6 +231,76 @@ class TestRetiredTableBuilders:
                 assert NumericalSemigroup.from_generators(gens) == doubling_from_generators(gens), gens
                 cases += 1
         assert cases == 1_927
+
+    def test_from_generators_with_many_generators_matches_the_doubling_search(self):
+        """Seeded sets of 4 to 30 generators from [2, 120], redundant ones included."""
+        rng = random.Random(22)
+        cases = smaller = 0
+        while cases < 500:
+            gens = sorted(rng.sample(range(2, 121), rng.randint(4, 30)))
+            if math.gcd(*gens) != 1:
+                continue
+            assert NumericalSemigroup.from_generators(gens) == doubling_from_generators(gens), gens
+            cases += 1
+            # The Erdos-Graham bound is the one that sizes the table.
+            erdos_graham = 2 * gens[-2] * (gens[-1] // len(gens)) - gens[-1]
+            smaller += erdos_graham < (gens[0] - 1) * (gens[-1] - 1)
+        assert 50 < smaller < cases
+        assert NumericalSemigroup.from_generators(range(50, 100)).frobenius == 49
+
+
+class TestMultiplicityStride:
+    """Chunks packed at the stride of a multiplicity bound m, with leaves of multiplicity m."""
+
+    def test_the_default_bound_is_f_plus_one(self):
+        for frob in range(1, 201):
+            assert _stride(frob) == _stride(frob, frob + 1) == (3 * frob + 9) // 8 * 8
+            # {0} and [F + 1, oo), the one semigroup with multiplicity F + 1.
+            (leaves,) = _leaf_chunks(frob, [1], _stride(frob, frob + 1))
+            (s,) = leaves.semigroups()
+            assert s.minimal_generators() == tuple(range(frob + 1, 2 * frob + 2))
+
+    def test_every_bound_on_every_bitmap(self):
+        """Every closed bitmap with F <= 14 whose multiplicity is at most m, at the stride of m."""
+        at_bound = 0
+        for frob in range(1, 15):
+            closed, _ = every_bitmap(frob)
+            for bound in range(2, frob + 2):
+                masks = [m for m in closed if multiplicity(frob, m) <= bound]
+                stride = _stride(frob, bound)
+                chunks = list(_leaf_chunks(frob, masks, stride))
+                assert all(c.stride == stride for c in chunks)
+                assert chunked(frob, masks, stride) == one_at_a_time(frob, masks), (frob, bound)
+                at_bound += sum(multiplicity(frob, m) == bound and m >> (frob + bound) // 2 & 1
+                                for m in masks)
+        assert at_bound > 0
+
+    @pytest.mark.parametrize("least", [2, 3, 5, 8])
+    def test_a_required_multiplicity(self, least):
+        """semigroups -A m: every leaf holds m, so the stride of the bound m."""
+        at_bound = 0
+        for frob in range(least + 1, 40 - 2 * least):
+            if frob % least == 0:
+                continue
+            chunks = list(_semigroup_chunks((least,), frob))
+            assert all(c.stride == _stride(frob, least) for c in chunks)
+            for s in (s for c in chunks for s in c.semigroups()):
+                assert s.minimal_generators() == uncached(s).minimal_generators(), s
+                at_bound += s.minimal_generators()[0] == least and (frob + least) // 2 in s
+        assert at_bound > 0
+
+    def test_irreducibles_at_half_plus_one(self):
+        """irreducibles -F t: the multiplicity is at most t/2 + 1 for t > 2, and t + 1 below."""
+        at_bound = 0
+        for t in range(1, 50):
+            bound = t // 2 + 1 if t > 2 else t + 1
+            chunks = list(_avoider_chunks((), (t,)))
+            assert all(c.stride == _stride(t, bound) for c in chunks)
+            for s in (s for c in chunks for s in c.semigroups()):
+                assert s.minimal_generators() == uncached(s).minimal_generators(), s
+                assert s.minimal_generators()[0] <= bound
+                at_bound += s.minimal_generators()[0] == bound and (t + bound) // 2 in s
+        assert at_bound > 0
 
 
 class TestLeafChunks:

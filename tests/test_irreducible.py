@@ -76,6 +76,28 @@ class TestSearchOrder:
                     checked += 1
         assert checked > 100
 
+    @pytest.mark.parametrize("required", [(), (2,), (5,), (7, 9)])
+    def test_every_range_that_reaches_half(self, required):
+        """last from F/2 to F - 1, where the free tails stop at last."""
+        checked = 0
+        for frob in range(1, 25):
+            monoid = Submonoid(required, frob)
+            if frob in monoid:
+                continue
+            for last in range((frob + 1) // 2, frob):
+                for avoid in (0, 1 << (frob - 1) // 2 + 1, 1 << last):
+                    args = (monoid.member_mask(), frob, last, avoid)
+                    assert list(_search(*args)) == list(two_push_search(*args)), args
+                    checked += 1
+        assert checked > 150
+
+    def test_the_tails_of_a_large_full_range(self):
+        """A = {} at F = 31: most leaves lie in the free tails past F/2, emitted whole."""
+        args = (1, 31, 30, 0)
+        leaves = list(_search(*args))
+        assert len(leaves) == 70_854
+        assert leaves == list(two_push_search(*args))
+
 
 class TestIsIrreducible:
     def test_examples(self):

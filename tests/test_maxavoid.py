@@ -16,6 +16,7 @@ from numsem.core import (
     _coin_table,
     _halves,
     _ones,
+    _stride,
     _unpack,
     apery_vector,
     avoids_genset,
@@ -157,6 +158,31 @@ class TestPackedWitnessTest:
         monkeypatch.setattr(numsem.maxavoid, "_search", lambda *args: iter(mixed))
         assert packed_masks(required, forbidden) == list(
             per_leaf_candidates(monoid, 43, avoid, mixed))
+
+
+class TestStrideFloor:
+    """A chunk that may reach the witness test is packed at stride > 2t, however small min(A) is.
+
+    The witness test shifts the reflection of the bottoms, which hold
+    the multiples of A up to t, by stride - 1 - b: below 2t + 1 bits
+    that pulls bits of the next block into [0, t].
+    """
+
+    def test_small_multiplicities_match_the_per_leaf_test(self):
+        checked = floored = 0
+        for a in range(6, 10):
+            for t in (46, 62, 88):
+                for low in range(5, 20, 3):
+                    for b in range(t - 24, t, 6):
+                        required, forbidden = (a,), (low, b, t)
+                        if any(x in Submonoid(required, t) for x in forbidden):
+                            continue
+                        strides = {c.stride for c in _avoider_chunks(required, forbidden)}
+                        floored += strides == {(2 * t + 8) // 8 * 8} and _stride(t, a) < 2 * t + 1
+                        expected = reference_masks(required, forbidden)[1]
+                        assert packed_masks(required, forbidden) == expected, forbidden
+                        checked += 1
+        assert checked == 180 and floored > 100
 
 
 class TestMakeProblem:
