@@ -47,7 +47,7 @@ from .core import (
     contains_genset,
     gap_key,
 )
-from .irreducible import IrreducibleContext, _search
+from .irreducible import IrreducibleContext, _full_search
 
 MAX_REMOVABLE = 30
 
@@ -156,7 +156,7 @@ def _semigroup_chunks(required, frobenius: int):
         raise ValueError("the Frobenius number must be positive")
     monoid = _coin_table(required, (frobenius,))
     stride = _stride(frobenius, min((*monoid.generators, frobenius + 1)))
-    return _leaf_chunks(frobenius, _search(monoid.member_mask(), frobenius, frobenius - 1), stride)
+    return _leaf_chunks(frobenius, _full_search(monoid.member_mask(), frobenius), stride)
 
 
 def enumerate_with_frobenius(required, frobenius: int) -> list[NumericalSemigroup]:

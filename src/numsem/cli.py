@@ -28,15 +28,17 @@ search leaves in chunks of ``core.CHUNK`` member bitmaps, packed one
 block per leaf into one int, and ``core._check_leaves`` validates a
 whole chunk at once (bit 0 set, bit F clear, nothing above F, and
 additive closure on the sums of the minimal-generator scan), one bigint
-operation per column over every leaf.  Only ``core`` knows the block
-layout: a chunk carries its block width (``core._Leaves.stride``,
-sized by the query's bound on the multiplicity) and its bit-0 mask
+operation per column over every leaf.  ``core`` packs the chunks: a
+chunk carries its block width (``core._Leaves.stride``, sized by the
+query's bound on the multiplicity) and its bit-0 mask
 (``core._Leaves.ones``), and ``core._split`` gives the bytes of each
-block.  A chunk's lines are written in one table pass (see
-:func:`_render`): each record is laid out as byte columns, and each
-byte is looked up in the table of its column, built on first use, so
-one ``join`` of lookups writes every line, with no format call per
-record.  A text line equals ``format_text`` of the record dict, and a
+block.  Two readers use the block width directly: :func:`_render`
+slices a chunk's bytes by it, and ``maxavoid._witness`` shifts the
+mirrored chunk by ``stride - 1 - b``.  A chunk's lines are written in
+one table pass (see :func:`_render`): each record is laid out as byte
+columns, and each byte is looked up in the table of its column, built
+on first use, so one ``join`` of lookups writes every line, with no
+format call per record.  A text line equals ``format_text`` of the record dict, and a
 JSON line equals ``json.dumps`` of it.  ``irreducibles``,
 ``maximal`` and ``solve`` share one generator of checked chunks, since
 the irreducibles with Frobenius number F are the maximal avoiders of the

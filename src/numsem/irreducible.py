@@ -20,13 +20,13 @@ by the mirror fill, which adds every x in (F/2, F) with F - x outside M.
 Leaves come out in gap order by construction.
 
 The same search over all of [1, F) yields every semigroup with Frobenius
-number F containing A.  That range has its own loop (see _full_search),
-which uses the same reflection: it carries, beside M, the positions k
-with F - k in M, which are gaps in every leaf below, and walks past them.
-And with m the least nonzero member of M, a free position p above both
-F/2 and F - m adds only p, since 2p and p + m pass F; so once every free
-position lies past both, the leaves below are M with each subset of
-them, emitted whole.
+number F containing A.  The semigroups query calls its own loop for that
+range (see _full_search), which uses the same reflection: it carries,
+beside M, the positions k with F - k in M, which are gaps in every leaf
+below, and walks past them.  And with m the least nonzero member of M, a
+free position p above both F/2 and F - m adds only p, since 2p and p + m
+pass F; so once every free position lies past both, the leaves below are
+M with each subset of them, streamed without a further decision.
 
 The same family carries a rooted tree structure, kept as the reference
 the tests compare against.  The root is the irreducible closure of
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from . import errors
 from .core import (
@@ -101,7 +102,7 @@ def irreducible_closure(s: NumericalSemigroup) -> NumericalSemigroup:
     return NumericalSemigroup(s.frobenius, _halves(s.frobenius, [s.member_mask()])[2].members)
 
 
-def _search(mask: int, frobenius: int, last: int, avoid: int = 0):
+def _search(mask: int, frobenius: int, last: int, avoid: int):
     """The bitmaps generated by mask and positions in [1, last] that miss F and avoid, lazily.
 
     mask must be closed under addition on [0, F].  Positions 1, ..., last
@@ -112,20 +113,12 @@ def _search(mask: int, frobenius: int, last: int, avoid: int = 0):
     branch always is, so every path ends in a leaf.  Only member branches
     are pushed: the gap branch is walked in place, and since every branch
     pushed below it is popped after it, the order is depth first, gap
-    before member, as if both were pushed.  The range picks the loop: the
-    positions below F/2 (2 last < F) go through _half_search, and a range
-    that reaches F/2 through _full_search, which skips the decisions
-    whose outcome is known.
+    before member, as if both were pushed.  Every position is decided in
+    turn, so the loop is correct for any range; the full range [1, F) of
+    semigroups has its own loop, _full_search.
     """
-    stop = (1 << frobenius | avoid) & ((2 << frobenius) - 1)
-    if 2 * last >= frobenius:
-        return _full_search(mask, frobenius, last, stop)
-    return _half_search(mask, frobenius, last, stop)
-
-
-def _half_search(mask: int, frobenius: int, last: int, stop: int):
-    """The leaves of _search, every position decided in turn."""
     full = (2 << frobenius) - 1
+    stop = 1 << frobenius | avoid
     stack = [(mask, 1)]
     while stack:
         mask, k = stack.pop()
@@ -145,67 +138,61 @@ def _half_search(mask: int, frobenius: int, last: int, stop: int):
             k += 1
 
 
-def _full_search(mask: int, frobenius: int, last: int, stop: int):
-    """The leaves of _search, with the decisions whose outcome is known skipped.
+def _full_search(mask: int, frobenius: int):
+    """The leaves of _search(mask, F, F - 1, 0), with the decisions whose outcome is known skipped.
 
-    Beside M, the loop carries G = {k : b - k in M for some b in the
-    stop set}, the reflection of M about each b (the x <-> F - x
-    symmetry of irreducibles, Rosales and Garcia-Sanchez, ch. 4).  Adding
-    k to M adds every k + y, so G gains every y - k: each doubling of M
-    by a shift left doubles G by the same shift right.  The member branch
-    meets the stop set iff bit 0 of G is set after the doubling, and a
-    position in G is a forced gap, walked past like a member.
+    mask must be closed under addition on [0, F] and miss F.  Beside M,
+    the loop carries G = {k : F - k in M}, the reflection of M about F
+    (the x <-> F - x symmetry of irreducibles, Rosales and
+    Garcia-Sanchez, ch. 4).  Adding k to M adds every k + y, so G gains
+    every y - k: each doubling of M by a shift left doubles G by the same
+    shift right.  The member branch holds F iff bit 0 of G is set after
+    the doubling, and a position in G is a forced gap, walked past like a
+    member.
 
     The tail fact: with m the least nonzero member of M, a free position p
     above both F/2 and F - m adds only p, since 2p and p + m pass F.  So
-    past limit = min(last, max(F - m, F // 2)), kept on each stack entry
-    and raised when a member below m is pushed, the leaves of a node are
-    M joined with every subset of its free positions, which miss the stop
-    set and G alike.  The node emits them whole, in gap order: that
-    decides the lowest position first, without it before with it, so each
-    list is grown from the highest position down, its copy with the
-    position following it.  The highest eight positions make one list of
-    at most 256 leaves, which each subset of the lower positions is joined
-    with in turn, so the lists hold 512 plus 1/256 of the leaves.  A node
-    whose M already meets the stop set, only ever the start, is its own
-    only leaf.
+    past limit = max(F - m, F // 2), kept on each stack entry and raised
+    when a member below m is pushed, the leaves of a node are M joined
+    with every subset of its free positions, which miss G.  The node
+    streams them in gap order: that decides the lowest position first,
+    without it before with it.  The highest eight positions make one list
+    of at most 256 leaves, grown from the highest position down, its copy
+    with the position following it; each subset of the lower positions,
+    in turn and lazily, is joined with that list.  So a tail costs the
+    list and O(F) of memory, whatever its length.
     """
     full = (2 << frobenius) - 1
-    grown = 0
-    for b in _bit_positions(stop):
-        low = mask & ((2 << b) - 1)
-        grown |= int(f"{low:0{b + 1}b}"[::-1], 2)  # bit k set iff b - k is in M
-    if grown & 1:
-        yield mask
-        return
+    grown = int(f"{mask:0{frobenius + 1}b}"[::-1], 2)  # bit k set iff F - k is in M
     nonzero = mask & ~1
     least = (nonzero & -nonzero).bit_length() - 1 if nonzero else frobenius + 1
-    stack = [(mask, grown, 1, min(last, max(frobenius - least, frobenius // 2)))]
+    stack = [(mask, grown, 1, max(frobenius - least, frobenius // 2))]
     while stack:
         mask, grown, k, limit = stack.pop()
         while True:
             free = ~(mask | grown) >> k  # the least position >= k outside M and G
             k += (free & -free).bit_length() - 1
             if k > limit:
-                if k > last:
+                if k >= frobenius:
                     yield mask
                     break
-                free = ~(mask | grown) & ((2 << last) - (1 << k))
+                free = ~(mask | grown) & ((1 << frobenius) - (1 << k))
                 if not free & (free - 1):  # one free position, the most common tail
                     yield mask
                     yield mask | free
                     break
-                high, low = [mask], [0]
-                while free:
+                high = [mask]
+                while free and len(high) < 256:
                     bit = 1 << (free.bit_length() - 1)
                     free ^= bit
-                    if len(high) < 256:
-                        high += [h | bit for h in high]
-                    else:
-                        low += [x | bit for x in low]
+                    high += [h | bit for h in high]
                 yield from high
-                for base in low[1:]:
-                    yield from [base | h for h in high]
+                if free:  # the lower positions, lowest first, each without it before with it
+                    lows = product(*[(0, 1 << p) for p in _bit_positions(free)])
+                    next(lows)  # the empty subset: high itself
+                    for low in lows:
+                        base = sum(low)
+                        yield from [base | h for h in high]
                 break
             member, reach, step = mask, grown, k
             while step <= frobenius:
@@ -214,8 +201,7 @@ def _full_search(mask: int, frobenius: int, last: int, stop: int):
                 step *= 2
             if not reach & 1:
                 raised = frobenius - k  # min(m, k) is the new least member
-                raised = limit if limit >= raised else min(raised, last)
-                stack.append((member, reach, k + 1, raised))
+                stack.append((member, reach, k + 1, limit if limit >= raised else raised))
             k += 1
 
 

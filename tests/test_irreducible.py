@@ -1,7 +1,8 @@
 """Tree enumeration of irreducible semigroups with fixed Frobenius number."""
 
 import math
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, islice
 
 import pytest
 
@@ -15,6 +16,7 @@ from numsem.core import (
     gap_key,
 )
 from numsem.irreducible import (
+    _full_search,
     _search,
     children,
     enumerate_irreducibles,
@@ -72,13 +74,16 @@ class TestSearchOrder:
             for last in {(frob - 1) // 2, frob - 1}:
                 for avoid in avoids:
                     args = (monoid.member_mask(), frob, last, avoid)
-                    assert list(_search(*args)) == list(two_push_search(*args)), args
+                    reference = list(two_push_search(*args))
+                    assert list(_search(*args)) == reference, args
+                    if last == frob - 1 and not avoid:
+                        assert list(_full_search(monoid.member_mask(), frob)) == reference, args
                     checked += 1
         assert checked > 100
 
     @pytest.mark.parametrize("required", [(), (2,), (5,), (7, 9)])
     def test_every_range_that_reaches_half(self, required):
-        """last from F/2 to F - 1, where the free tails stop at last."""
+        """last from F/2 to F - 1: the plain loop decides every position, past F/2 too."""
         checked = 0
         for frob in range(1, 25):
             monoid = Submonoid(required, frob)
@@ -92,11 +97,30 @@ class TestSearchOrder:
         assert checked > 150
 
     def test_the_tails_of_a_large_full_range(self):
-        """A = {} at F = 31: most leaves lie in the free tails past F/2, emitted whole."""
-        args = (1, 31, 30, 0)
-        leaves = list(_search(*args))
+        """A = {} at F = 31: most leaves lie in the free tails past F/2.
+
+        The first tail has 15 free positions, so its lower seven come as
+        lazy subsets joined with the list of the top eight.
+        """
+        leaves = list(_full_search(1, 31))
         assert len(leaves) == 70_854
-        assert leaves == list(two_push_search(*args))
+        assert leaves == list(two_push_search(1, 31, 30))
+
+    def test_the_free_tails_stream(self):
+        """A = {} at F = 60: the first 256 leaves come before the tail is built.
+
+        The first tail has 29 free positions; held whole, even 1/256 of it
+        would take tens of MiB.
+        """
+        reference = list(islice(two_push_search(1, 60, 59), 256))
+        tracemalloc.start()
+        try:
+            leaves = list(islice(_full_search(1, 60), 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert leaves == reference
+        assert peak < 1 << 20, peak
 
 
 class TestIsIrreducible:
