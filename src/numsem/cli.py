@@ -18,10 +18,16 @@ and every run is single-threaded whatever its value.
 
 The argument parser is built once per process, on the first :func:`run`
 call, and reused by every later call.  When the arguments start with a
-subcommand, its own subparser alone parses the rest: the top-level
-parser would only hand it the same strings after one more scan, so the
-namespace, the usage messages, the help output and the exit codes are
-the same.
+subcommand, its own subparser alone reads the rest: the top-level
+parser would only hand it the same strings after one more scan.  Plain
+arguments, pairs of an exact option string that takes one value and a
+value not starting with "-", are read straight off the subparser's
+actions, with their defaults, types, choices and required options, and
+skip argparse's parse loop; anything else (help, abbreviations,
+``--opt=value``, ``--``, values starting with "-", the oracle
+subcommands, every usage error) goes through the subparser's parse.  So
+the namespace, the usage messages, the help output and the exit codes
+are the same, and the grammar is declared once, in :func:`build_parser`.
 
 Results stream to stdout a chunk at a time: each query yields the
 search leaves in chunks of ``core.CHUNK`` member bitmaps, packed one
@@ -366,19 +372,54 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _plain(sub: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
+    """The namespace that sub.parse_args(argv) gives, when argv is plain; else None.
+
+    argv is plain when it pairs up as (an option string of sub that takes
+    one value, a value not starting with "-"), every value converts by its
+    action's type and meets its choices, and no required option is
+    missing.  The namespace starts from the defaults of sub's actions, but
+    those argparse suppresses, and each action stores its value.
+    """
+    if len(argv) % 2:
+        return None
+    options = sub._option_string_actions
+    args = argparse.Namespace(**{action.dest: action.default for action in sub._actions
+                                 if action.default is not argparse.SUPPRESS})
+    seen = set()
+    for flag, text in zip(argv[::2], argv[1::2]):
+        action = options.get(flag)
+        if action is None or action.nargs is not None or text.startswith("-"):
+            return None
+        try:
+            value = action.type(text) if action.type else text
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        action(sub, args, value, flag)
+        seen.add(action)
+    if any(action.required and action not in seen for action in sub._actions):
+        return None
+    return args
+
+
 def _parse(argv) -> argparse.Namespace:
     """The arguments as ``_parser().parse_args(argv)`` gives them, errors and help included.
 
-    When argv starts with a subcommand, only its subparser parses the
-    rest, and the command is set as the top-level parser would set it.
-    Anything else goes through the top-level parser.
+    When argv starts with a subcommand, only its subparser reads the
+    rest: off its actions when the rest is plain (see :func:`_plain`),
+    else by its parse_args.  The command is set as the top-level parser
+    would set it.  Anything else goes through the top-level parser.
     """
     if argv is None:
         argv = sys.argv[1:]
     sub = _parser().commands.get(argv[0]) if argv else None
     if sub is None:
         return _parser().parse_args(argv)
-    args = sub.parse_args(argv[1:])
+    args = _plain(sub, argv[1:])
+    if args is None:
+        args = sub.parse_args(argv[1:])
     args.command = argv[0]
     return args
 
@@ -402,21 +443,20 @@ def _dispatch(args):
     required = _parse_intlist(args.A, "-A")
     if command in ("irreducibles", "semigroups"):
         _check_caps(args.F, None)
-        frobenius, targets = args.F, (args.F,)
+        targets = (args.F,)
     else:
-        forbidden = _parse_intlist(args.B, "-B")
-        _check_caps(None, forbidden)
-        targets = _forbidden(forbidden)
-        frobenius = targets[-1]
+        targets = _parse_intlist(args.B, "-B")
+        _check_caps(None, targets)
     kind = "solution-set" if command in ("solve", "hitting-sets") else "semigroup"
 
     def render(leaves, count):
         return _render(leaves, count, args.format, kind)
 
     if args.command == "oracle":
-        return _leaf_chunks(frobenius, _oracle_masks(command, required, frobenius, targets)), render
+        targets = _forbidden(targets)
+        return _leaf_chunks(targets[-1], _oracle_masks(command, required, targets[-1], targets)), render
     if command == "semigroups":
-        return _semigroup_chunks(required, frobenius), render
+        return _semigroup_chunks(required, args.F), render
     # irreducibles are the maximal avoiders of the single value F.
     chunks = _avoider_chunks(required, targets)
     if command == "solve":

@@ -574,7 +574,7 @@ def _coin_table(required, targets) -> Submonoid:
     Raises Infeasible, with one combination as the witness, for the first
     target, in the given order, that the required set generates.
     """
-    monoid = Submonoid(normalize_genset(required), max(targets))
+    monoid = Submonoid(required, max(targets))
     for b in targets:
         if b in monoid:
             raise errors.Infeasible(b, monoid.decompose(b))

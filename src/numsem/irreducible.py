@@ -110,7 +110,11 @@ def _search(mask: int, frobenius: int, last: int, avoid: int):
     distinct on [1, last] and come out in gap order by construction.
     Adding k closes M by shift-or doubling.  The member branch is taken
     only when the closed bitmap misses F and every bit of avoid; the gap
-    branch always is, so every path ends in a leaf.  Only member branches
+    branch always is, so every path ends in a leaf.  The member branch is
+    refused before its doubling when b - k is in M for some stop value b
+    (F or a bit of avoid), since M + k then holds b; the test after the
+    doubling refuses the rest, where b - jk is in M only for some j >= 2,
+    or M itself holds b.  Only member branches
     are pushed: the gap branch is walked in place, and since every branch
     pushed below it is popped after it, the order is depth first, gap
     before member, as if both were pushed.  Every position is decided in
@@ -128,13 +132,14 @@ def _search(mask: int, frobenius: int, last: int, avoid: int):
             if k > last:
                 yield mask
                 break
-            # core._add_generator(mask, k, frobenius), inlined.
-            member, step = mask, k
-            while step <= frobenius:
-                member |= (member << step) & full
-                step *= 2
-            if not member & stop:
-                stack.append((member, k + 1))
+            if not stop >> k & mask:  # else b - k is in M for some b, and M + k holds b
+                # core._add_generator(mask, k, frobenius), inlined.
+                member, step = mask, k
+                while step <= frobenius:
+                    member |= (member << step) & full
+                    step *= 2
+                if not member & stop:
+                    stack.append((member, k + 1))
             k += 1
 
 

@@ -36,7 +36,10 @@ differ, so the candidates come in gap order by construction.
 
 The bottoms are packed CHUNK at a time, one block each, with their
 reflection and their mirror-filled tops (see core._halves), which carry
-the chunk's bit-0 mask; core alone knows the block layout.  When no
+the chunk's bit-0 mask.  core packs them at the block width that _chunks
+picks from the query (see core._stride); the witness test reads that
+width directly, shifting the mirrored chunk by stride - 1 - b, as
+cli._render does when it slices the bytes of each block.  When no
 top of a chunk meets B, as always for B = {t}, whose maximal avoiders
 are the irreducibles with Frobenius number t, the tops go to the chunk
 check as they are.  Otherwise down(X) of every block is one shift of

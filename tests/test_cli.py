@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism, diagnostics."""
 
+import itertools
 import json
 import os
 import random
@@ -606,8 +607,32 @@ class TestSubcommandParse:
         expected = self.outcome(cli._parser().parse_args, list(argv), capsys)
         assert self.outcome(cli._parse, list(argv), capsys) == expected
 
+    @pytest.mark.parametrize("command", ["irreducibles", "semigroups", "maximal", "solve"])
+    def test_generated_argvs_match_the_top_level_parser(self, command, capsys):
+        """Up to two (option, value) pairs: plain ones, and every kind that argparse must parse."""
+        options = ["-A", "-F", "-B", "--format", "--parallel", "--limit", "--form", "--format=json", "-X", "--"]
+        values = ["", "4,9", "5", " 5", "-5", "x", "json", "yaml", "0", "2"]
+        pairs = [[option, value] for option in options for value in values]
+        argvs = [[command]] + [[command, *p] for p in pairs]
+        argvs += [[command, *p, *q] for p in pairs for q in pairs]
+        for argv in argvs:
+            expected = self.outcome(cli._parser().parse_args, list(argv), capsys)
+            assert self.outcome(cli._parse, list(argv), capsys) == expected, argv
+
     def test_a_subcommand_skips_the_top_level_parser(self, monkeypatch):
         top = cli._parser()
         monkeypatch.setattr(top, "parse_args", lambda argv: pytest.fail("top-level parse"))
         assert cli._parse(["irreducibles", "-F", "5"]).command == "irreducibles"
         assert cli._parse(["oracle", "partitions", "5"]).oracle_command == "partitions"
+
+    @pytest.mark.parametrize("command", ["irreducibles", "semigroups", "maximal", "solve"])
+    def test_the_canonical_forms_skip_the_subparser_loop(self, command, monkeypatch):
+        """-A, -F or -B, --format, --parallel and --limit, each with its value, in any order."""
+        bound = "-F" if command in ("irreducibles", "semigroups") else "-B"
+        pairs = [["-A", "4,9"], [bound, "14"], ["--format", "json"], ["--parallel", "2"], ["--limit", "3"]]
+        argvs = [[command, *sum(order, [])] for order in itertools.permutations(pairs)]
+        argvs += [[command, bound, "14"], [command, "-A", "", bound, "7"], [command, bound, "14", "--format", "text"]]
+        expected = [vars(cli._parser().parse_args(argv)) for argv in argvs]
+        sub = cli._parser().commands[command]
+        monkeypatch.setattr(sub, "parse_args", lambda argv: pytest.fail(f"parse_args({argv})"))
+        assert [vars(cli._parse(argv)) for argv in argvs] == expected

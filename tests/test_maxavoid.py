@@ -328,7 +328,8 @@ class TestMaximalAvoiding:
         calls = []
         init = Submonoid.__init__
         monkeypatch.setattr(
-            Submonoid, "__init__", lambda self, *args: calls.append(args) or init(self, *args)
+            Submonoid, "__init__",
+            lambda self, gens, bound: calls.append((tuple(gens), bound)) or init(self, gens, bound),
         )
         assert len(maximal_avoiding([4, 9], [11, 14])) == 1
         assert calls == [((4, 9), 14)]
