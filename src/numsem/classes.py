@@ -34,7 +34,7 @@ the tests compare against, and as the class theory that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import errors
 from .core import (
@@ -52,14 +52,15 @@ from .irreducible import IrreducibleContext, _full_search
 MAX_REMOVABLE = 30
 
 
-@dataclass(frozen=True)
-class FrobeniusClass:
-    """One equivalence class: the interval between its top and bottom members."""
+class FrobeniusClass(namedtuple("FrobeniusClass", "top bottom removable members")):
+    """One equivalence class: the interval between its top and bottom members.
 
-    top: NumericalSemigroup
-    bottom: NumericalSemigroup
-    removable: tuple[int, ...]
-    members: tuple[NumericalSemigroup, ...]
+    top and bottom are NumericalSemigroups, removable is the ascending
+    tuple of the members of top missing from bottom, and members is the
+    tuple of every member sorted by gap list.
+    """
+
+    __slots__ = ()
 
 
 def class_minimum(s: NumericalSemigroup, ctx: IrreducibleContext) -> NumericalSemigroup:

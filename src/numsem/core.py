@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, count, islice, repeat
 
 from . import errors
@@ -581,27 +581,26 @@ def _coin_table(required, targets) -> Submonoid:
     return monoid
 
 
-@dataclass(frozen=True)
-class AperyVector:
+class AperyVector(namedtuple("AperyVector", "modulus coords")):
     """Least members per nonzero residue class mod the modulus, as a tuple.
 
     coords[i] is the least member congruent to i + 1; it is positive and
-    congruent to its index.  The componentwise order on these tuples
+    congruent to its index.  The componentwise order on these tuples, leq,
     reverses semigroup inclusion, and the componentwise max corresponds to
-    intersection.
+    intersection; < is the lexicographic tuple order.
     """
 
-    modulus: int
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 2:
+    def __new__(cls, modulus: int, coords: tuple[int, ...]):
+        if modulus < 2:
             raise ValueError("modulus must be at least 2")
-        if len(self.coords) != self.modulus - 1:
-            raise ValueError(f"expected {self.modulus - 1} coordinates, got {len(self.coords)}")
-        for i, c in enumerate(self.coords, start=1):
-            if c < 1 or c % self.modulus != i % self.modulus:
+        if len(coords) != modulus - 1:
+            raise ValueError(f"expected {modulus - 1} coordinates, got {len(coords)}")
+        for i, c in enumerate(coords, start=1):
+            if c < 1 or c % modulus != i % modulus:
                 raise ValueError(f"coordinate {c} at residue {i} violates the congruence")
+        return super().__new__(cls, modulus, coords)
 
     def join(self, other: "AperyVector") -> "AperyVector":
         """Componentwise maximum (the vector of the intersection)."""

@@ -50,27 +50,27 @@ F/2 < x < F and x not in A:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from . import errors
 from .core import (
     NumericalSemigroup,
-    Submonoid,
     _bit_positions,
     _coin_table,
     _halves,
 )
 
 
-@dataclass(frozen=True)
-class IrreducibleContext:
-    """Shared data for one (required set, Frobenius number) enumeration problem."""
+class IrreducibleContext(namedtuple("IrreducibleContext", "required frobenius monoid root")):
+    """Shared data for one (required set, Frobenius number) enumeration problem.
 
-    required: tuple[int, ...]
-    frobenius: int
-    monoid: Submonoid
-    root: NumericalSemigroup
+    required is the normalized generator tuple, monoid its Submonoid coin
+    table on [0, F], and root the irreducible closure of that table: the
+    NumericalSemigroup at the root of the tree walk.
+    """
+
+    __slots__ = ()
 
 
 def is_irreducible(s: NumericalSemigroup) -> bool:

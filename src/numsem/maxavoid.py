@@ -58,7 +58,7 @@ The tests compare against that form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import errors
 from .core import (
@@ -80,13 +80,14 @@ from .core import (
 from .irreducible import _search, enumerate_irreducibles
 
 
-@dataclass(frozen=True)
-class AvoidanceProblem:
-    """A feasible (required, forbidden) instance and its working modulus."""
+class AvoidanceProblem(namedtuple("AvoidanceProblem", "required forbidden modulus")):
+    """A feasible (required, forbidden) instance and its working modulus.
 
-    required: tuple[int, ...]
-    forbidden: tuple[int, ...]
-    modulus: int
+    required and forbidden are normalized tuples of ints; modulus is
+    max(forbidden) + 1.
+    """
+
+    __slots__ = ()
 
 
 def _forbidden(raw) -> tuple[int, ...]:

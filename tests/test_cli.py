@@ -349,10 +349,14 @@ class TestDeterminism:
 
     def test_import_leaves_the_oracle_out(self):
         # Only the oracle subcommands and frontier.check_solution import it,
-        # and only oracle partitions imports json.
-        code = "import sys, numsem.cli; print('numsem.oracle' in sys.modules, 'json' in sys.modules)"
+        # and only oracle partitions imports json.  The record types are
+        # named tuples, so nothing loads dataclasses and its inspect chain.
+        code = (
+            "import sys, numsem.cli; print('numsem.oracle' in sys.modules,"
+            " 'json' in sys.modules, 'dataclasses' in sys.modules)"
+        )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (result.stdout, result.stderr) == ("False False\n", "")
+        assert (result.stdout, result.stderr) == ("False False False\n", "")
 
 
 class TestRecordBuilders:

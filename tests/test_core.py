@@ -31,9 +31,9 @@ from numsem.core import (
     normalize_genset,
     semigroup_from_apery_vector,
 )
-from numsem.classes import _semigroup_chunks
-from numsem.irreducible import enumerate_irreducibles
-from numsem.maxavoid import _avoider_chunks
+from numsem.classes import _semigroup_chunks, frobenius_class
+from numsem.irreducible import enumerate_irreducibles, make_context
+from numsem.maxavoid import _avoider_chunks, make_problem
 from numsem.oracle import all_semigroups_with_frobenius
 
 sg = NumericalSemigroup.from_generators
@@ -701,6 +701,10 @@ class TestAperyVector:
             AperyVector(2, (1, 3))
         with pytest.raises(ValueError):
             AperyVector(1, ())
+        with pytest.raises(ValueError):
+            AperyVector(3, (4,))
+        with pytest.raises(ValueError):
+            AperyVector(3, (-2, 2))
 
     def test_join_and_leq(self):
         a11 = apery_vector(sg([4, 6, 9]), 15)
@@ -718,6 +722,28 @@ class TestAperyVector:
             apery_vector(sg([4, 5]), 15).join(apery_vector(sg([4, 5]), 14))
         with pytest.raises(errors.ModulusMismatch):
             apery_vector(sg([4, 5]), 15).leq(apery_vector(sg([4, 5]), 14))
+
+
+def _frobenius_class():
+    ctx = make_context([4], 11)
+    return frobenius_class(ctx.root, ctx)
+
+
+@pytest.mark.parametrize("build, first_field", [
+    (lambda: AperyVector(3, (4, 2)), "modulus"),
+    (lambda: make_context([4], 11), "required"),
+    (_frobenius_class, "top"),
+    (lambda: make_problem([4, 9], [11, 14]), "required"),
+], ids=["AperyVector", "IrreducibleContext", "FrobeniusClass", "AvoidanceProblem"])
+def test_record_types_are_immutable_values(build, first_field):
+    x, y = build(), build()
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y}) == 1
+    with pytest.raises(AttributeError):
+        setattr(x, first_field, getattr(y, first_field))
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert repr(x).startswith(f"{type(x).__name__}({first_field}=")
 
 
 class TestSemigroupFromAperyVector:
