@@ -214,58 +214,61 @@ def format_text(record: dict) -> str:
 _POPCOUNT = bytes(b.bit_count() for b in range(256))
 
 
-def _byte_table(j: int, head: str | None = None) -> tuple[str, ...]:
+def _byte_table(j: int, sep: str, head: str | None = None) -> tuple[str, ...]:
     """For each byte value, the tokens of its set bits as byte j of a bitmap, joined.
 
-    Bit i stands for the token "," + str(8j + i).  Built by doubling: the
+    Bit i stands for the token sep + str(8j + i), with the separator of
+    the format: "," in text, ", " in JSON.  Built by doubling: the
     entries with bit i set are those below 2^i, each followed by the
     token of bit i.  With head, the table of byte 0 of a gap set, which
     holds bit 1 (1 is a gap of every semigroup but N): head, then the
-    tokens without the leading comma, so bit 1 stands for "1".
+    tokens without the leading separator, so bit 1 stands for "1".
     """
     if head is not None:
-        return tuple(head + entry[1:] for entry in _byte_table(0))
+        return tuple(head + entry[len(sep):] for entry in _byte_table(0, sep))
     table = [""]
     for i in range(8 * j, 8 * j + 8):
-        table += [f"{entry},{i}" for entry in table]
+        table += [f"{entry}{sep}{i}" for entry in table]
     return tuple(table)
 
 
-# The tables of bytes 0, 1, ..., each built on first use.
-_BYTE_TABLES: list[tuple[str, ...]] = []
+# The tables of bytes 0, 1, ..., one list per separator, each table built on first use.
+_BYTE_TABLES: dict[str, list[tuple[str, ...]]] = {",": [], ", ": []}
 
 
-def _byte_tables(count: int) -> list[tuple[str, ...]]:
-    """The table of each byte below count, and of any byte built before."""
-    if len(_BYTE_TABLES) < count:
-        _BYTE_TABLES.extend(map(_byte_table, range(len(_BYTE_TABLES), count)))
-    return _BYTE_TABLES
+def _byte_tables(sep: str, count: int) -> list[tuple[str, ...]]:
+    """The table of each byte below count with the separator, and of any byte built before."""
+    tables = _BYTE_TABLES[sep]
+    if len(tables) < count:
+        tables.extend(_byte_table(j, sep) for j in range(len(tables), count))
+    return tables
 
 
 @functools.cache
-def _line_tables(fmt: str, kind: str) -> tuple[str, tuple[str, ...], tuple[str, ...], tuple]:
+def _line_tables(fmt: str, kind: str) -> tuple[str, str, tuple[str, ...], str, tuple[str, ...], tuple]:
     """The fixed text of a record line of the format and kind, for _render.
 
-    The text that ends a line; the table of m, which ends a line and
-    starts the next up to m; the table of byte 0 of the gaps, and for a
-    JSON solution set, that of byte 0 of its elements.  JSON is written
-    with bare commas, which one replace turns into the separator of
-    json.dumps.
+    The only place that holds it: the separator of the format; the text
+    that ends a line; the table of m, which ends a line and starts the
+    next up to m; the template of the text between the generators and
+    the gaps, for _genus_table; the table of byte 0 of the gaps, and for
+    a JSON solution set, that of byte 0 of its elements.  JSON pieces are
+    written as json.dumps writes them.
     """
     if fmt == "text":
-        end, start, elements = "}\n", "<", ()
+        sep, end, start, middle, elements = ",", "}\n", "<", "> | F={} g={} gaps={{", ()
     else:
-        end = '],"elements": null}\n' if kind == "semigroup" else "]}\n"
-        start = f'{{"kind": "{kind}","msg": ['
-        elements = _byte_table(0, '],"elements": [') if kind == "solution-set" else ()
-    return end, tuple(f"{end}{start}{m}" for m in range(256)), _byte_table(0, ""), elements
+        sep, end = ", ", '], "elements": null}\n' if kind == "semigroup" else "]}\n"
+        start = f'{{"kind": "{kind}", "msg": ['
+        middle = '], "frobenius": {}, "genus": {}, "gaps": ['
+        elements = _byte_table(0, sep, '], "elements": [') if kind == "solution-set" else ()
+    return sep, end, tuple(f"{end}{start}{m}" for m in range(256)), middle, _byte_table(0, sep, ""), elements
 
 
 @functools.cache
-def _genus_table(frobenius: int, fmt: str) -> tuple[str, ...]:
-    """For each genus g <= F, the text of a record line between its generators and its gaps."""
-    text = "> | F={} g={} gaps={{" if fmt == "text" else '],"frobenius": {},"genus": {},"gaps": ['
-    return tuple(text.format(frobenius, g) for g in range(frobenius + 1))
+def _genus_table(frobenius: int, middle: str) -> tuple[str, ...]:
+    """For each genus g <= F, the middle template of _line_tables filled in with F and g."""
+    return tuple(middle.format(frobenius, g) for g in range(frobenius + 1))
 
 
 def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
@@ -285,8 +288,9 @@ def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
     Each byte is looked up in the table of its column: m's table ends the
     previous line and starts this one, g's holds the text between the
     generators and the gaps, and the others list the numbers of their set
-    bits.  So one join writes every line, but for the end of the last,
-    and the text before the first is cut off.
+    bits, with the separator of the format.  So one join writes every
+    line in its final text, but for the end of the last, and the text
+    before the first is cut off.
     """
     frob, stride, size = leaves.frobenius, leaves.stride, leaves.stride // 8
     assert frob < 255, frob
@@ -307,9 +311,9 @@ def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
     counts = counts.to_bytes(2 * count, "little")
     layout = [counts[:count], *[raw[j::size] for j in msg],
               counts[count:], *[gap[j::size] for j in range(used)]]
-    end, multiplicities, first, elements = _line_tables(fmt, kind)
-    byte = _byte_tables(max(msg.stop, used))
-    tables = [multiplicities, *byte[msg.start:msg.stop], _genus_table(frob, fmt), first, *byte[1:used]]
+    sep, end, multiplicities, middle, first, elements = _line_tables(fmt, kind)
+    byte = _byte_tables(sep, max(msg.stop, used))
+    tables = [multiplicities, *byte[msg.start:msg.stop], _genus_table(frob, middle), first, *byte[1:used]]
     if elements:
         layout += layout[-used:]
         tables += [elements, *byte[1:used]]
@@ -320,8 +324,7 @@ def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
         columns = bytearray(count * record)
         for i, column in enumerate(layout):
             columns[i::record] = column
-    text = "".join(map(getitem, cycle(tables), columns))[len(end):] + end
-    return text if fmt == "text" else text.replace(",", ", ")
+    return "".join(map(getitem, cycle(tables), columns))[len(end):] + end
 
 
 # The required option of each query subcommand besides -A, with its settings.

@@ -496,19 +496,25 @@ class TestFullWidthRenderer:
                     assert self.rendered(frob, masks, count, fmt, kind) == expected[:count]
 
     def test_byte_tables(self):
-        for j in range((2 * cli.MAX_FROBENIUS_INPUT + 2 + 7) // 8):
-            table = cli._byte_table(j)
-            assert len(table) == 256
-            for b, entry in enumerate(table):
-                bits = [8 * j + i for i in range(8) if b >> i & 1]
-                assert entry == "".join(f",{i}" for i in bits), (j, b)
-        # Byte 0 of a gap set holds bit 1 and not bit 0: the token of 1 has no comma.
-        for head in ("", '],"elements": ['):
-            table = cli._byte_table(0, head)
-            assert len(table) == 256
-            for b in range(2, 256, 4):
-                bits = [i for i in range(8) if b >> i & 1]
-                assert table[b] == head + "1" + "".join(f",{i}" for i in bits[1:]), (head, b)
+        # Every entry of both separators' tables, built one at a time and as _render takes them.
+        width = (2 * cli.MAX_FROBENIUS_INPUT + 2 + 7) // 8
+        for sep in (",", ", "):
+            tables = cli._byte_tables(sep, width)
+            assert len(tables) >= width
+            for j in range(width):
+                for table in (cli._byte_table(j, sep), tables[j]):
+                    assert len(table) == 256
+                    for b, entry in enumerate(table):
+                        bits = [8 * j + i for i in range(8) if b >> i & 1]
+                        assert entry == "".join(f"{sep}{i}" for i in bits), (sep, j, b)
+        # Byte 0 of a gap set holds bit 1 and not bit 0: the token of 1 has no separator.
+        for sep in (",", ", "):
+            for head in ("", '], "elements": ['):
+                table = cli._byte_table(0, sep, head)
+                assert len(table) == 256
+                for b in range(2, 256, 4):
+                    bits = [i for i in range(8) if b >> i & 1]
+                    assert table[b] == head + "1" + "".join(f"{sep}{i}" for i in bits[1:]), (sep, head, b)
 
 
 class TestParserReuse:
