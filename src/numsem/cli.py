@@ -52,12 +52,16 @@ single value F.  ``solve`` renders the maximal avoiders themselves as
 solution-set records, since each solution is the gap set of one avoider,
 and streams them: that no solution comes twice is asserted chunk by
 chunk, as the bitmaps strictly increase in gap order.  The oracle
-subcommands render their results through the same chunks; the record
-builders below stay as the reference for the library and the tests.
-``--limit K`` renders and writes only K records,
-but every leaf is still checked and counted, since the stderr note
-reports the total.  The oracle subcommands take the same usage and
-capacity checks as the main commands.
+subcommands print through the record builders below, which are the
+reference for the table pass: each brute-force semigroup is rebuilt by
+``NumericalSemigroup.from_mask`` and each hitting set by
+``solution_record``, so every line is closure-checked, and a line is
+``format_text`` or ``json.dumps`` of its record.  So the CI digests that
+pin an oracle subcommand to its main command compare two renderers.
+``--limit K`` renders and writes only K records, but every leaf is
+still checked and counted, since the stderr note reports the total.
+The oracle subcommands take the same usage and capacity checks as the
+main commands.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible input (the diagnostic
 names a witness combination; the oracle subcommands that find nothing
@@ -79,7 +83,7 @@ from operator import getitem, lt
 from . import errors
 from .classes import _semigroup_chunks
 from .classes import enumerate_with_frobenius  # noqa: F401  bench/tracer.py wraps it here
-from .core import _BIT_REVERSE, NumericalSemigroup, _coin_table, _fold, _leaf_chunks, _Leaves, _split
+from .core import _BIT_REVERSE, NumericalSemigroup, _coin_table, _fold, _Leaves, _split
 from .frontier import solve  # noqa: F401  bench/tracer.py wraps it in this namespace
 from .maxavoid import _avoider_chunks, _forbidden
 
@@ -318,7 +322,7 @@ def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
         layout += layout[-used:]
         tables += [elements, *byte[1:used]]
     record = len(layout)
-    if count < 64:  # one C loop over the bytes costs less than a slice per column
+    if count < 32:  # one C loop over the bytes costs less than a slice per column
         columns = memoryview(b"".join(layout)).cast("B", (record, count)).tobytes("F")
     else:
         columns = bytearray(count * record)
@@ -431,41 +435,54 @@ def _dispatch(args):
     """The results of the query in batches, and the function that renders a batch's first records.
 
     Every usage, capacity and feasibility check runs here, before the
-    first batch, so a failing query writes nothing to stdout.
+    first batch, so a failing query writes nothing to stdout.  The main
+    commands give checked chunks, which :func:`_render` writes.  An oracle
+    subcommand gives one batch of record dicts, each built from a
+    from_mask-validated semigroup and written by :func:`format_text` or
+    ``json.dumps``; when it finds nothing, A generates F or some b, and
+    the main command's witness is raised.
     """
     command = args.oracle_command if args.command == "oracle" else args.command
+    if command != "partitions":
+        required = _parse_intlist(args.A, "-A")
+        if command in ("irreducibles", "semigroups"):
+            _check_caps(args.F, None)
+            targets = (args.F,)
+        else:
+            targets = _parse_intlist(args.B, "-B")
+            _check_caps(None, targets)
+    if args.command != "oracle":
+        kind = "solution-set" if command == "solve" else "semigroup"
+
+        def render(leaves, count):
+            return _render(leaves, count, args.format, kind)
+
+        if command == "semigroups":
+            return _semigroup_chunks(required, args.F), render
+        # irreducibles are the maximal avoiders of the single value F.
+        chunks = _avoider_chunks(required, targets)
+        if command == "solve":
+            # The solutions are the gap sets of the maximal avoiders.
+            chunks = _increasing(chunks)
+        return chunks, render
+
+    import json
+
+    from . import oracle
+
     if command == "partitions":
-        import json
-
-        from . import oracle
-
-        line = format_text if args.format == "text" else json.dumps
-        return [oracle.partitions(args.target)], lambda parts, count: "".join(
-            line(partition_record(p)) + "\n" for p in parts[:count])
-
-    required = _parse_intlist(args.A, "-A")
-    if command in ("irreducibles", "semigroups"):
-        _check_caps(args.F, None)
-        targets = (args.F,)
-    else:
-        targets = _parse_intlist(args.B, "-B")
-        _check_caps(None, targets)
-    kind = "solution-set" if command in ("solve", "hitting-sets") else "semigroup"
-
-    def render(leaves, count):
-        return _render(leaves, count, args.format, kind)
-
-    if args.command == "oracle":
+        records = [partition_record(p) for p in oracle.partitions(args.target)]
+    elif command == "hitting-sets":
         targets = _forbidden(targets)
-        return _leaf_chunks(targets[-1], _oracle_masks(command, required, targets[-1], targets)), render
-    if command == "semigroups":
-        return _semigroup_chunks(required, args.F), render
-    # irreducibles are the maximal avoiders of the single value F.
-    chunks = _avoider_chunks(required, targets)
-    if command == "solve":
-        # The solutions are the gap sets of the maximal avoiders.
-        chunks = _increasing(chunks)
-    return chunks, render
+        records = [solution_record(c) for c in oracle.minimal_hitting_sets(required, targets)]
+    else:
+        find = oracle.all_semigroups_with_frobenius if command == "semigroups" else oracle.irreducibles_bruteforce
+        records = [semigroup_record(NumericalSemigroup.from_mask(args.F, s.member_mask()))
+                   for s in find(args.F, required)]
+    if not records:
+        _coin_table(required, targets)
+    line = format_text if args.format == "text" else json.dumps
+    return [records], lambda records, count: "".join(line(r) + "\n" for r in records[:count])
 
 
 def _increasing(chunks):
@@ -482,30 +499,6 @@ def _increasing(chunks):
         assert all(map(lt, keys, keys[1:])), "the solutions must be distinct"
         last = keys[-1]
         yield leaves
-
-
-def _oracle_masks(command: str, required, frobenius: int, targets) -> list[int]:
-    """The member bitmaps of the brute-force results, on [0, F].
-
-    A solution set of hitting-sets is the gap set of a maximal avoider,
-    whose Frobenius number is max(B).  No result means that A generates
-    F or some b, and that witness is raised.
-    """
-    from . import oracle
-
-    if command == "hitting-sets":
-        full = (2 << frobenius) - 1
-        hitting = oracle.minimal_hitting_sets(required, targets)
-        masks = [full ^ sum(1 << g for g in c) for c in hitting]
-    else:
-        if command == "semigroups":
-            results = oracle.all_semigroups_with_frobenius(frobenius, required)
-        else:
-            results = oracle.irreducibles_bruteforce(frobenius, required)
-        masks = [s.member_mask() for s in results]
-    if not masks:
-        _coin_table(required, targets)
-    return masks
 
 
 def run(argv=None) -> int:

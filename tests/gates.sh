@@ -57,7 +57,11 @@
 # and one replace over the chunk printed: solve -B 5,7,71 --format json
 # (19,776 lines; 256-record chunks that list every gap twice) and
 # maximal -B 61,67 --format json (1,977 lines; chunks that the witness
-# test shrank).  About 9 s on a 2-core x86-64 host.
+# test shrank).  The oracle prints through the record builders, so
+# each oracle kind is pinned in both formats against the table pass:
+# oracle irreducibles -F 16 against irreducibles -F 16 in text (7 lines),
+# oracle hitting-sets -B 13,14 against solve -B 13,14 in text (5 lines).
+# About 10 s on a 2-core x86-64 host.
 
 set -e
 cd "$(dirname "$0")/.."
@@ -104,6 +108,10 @@ test "$(digest oracle irreducibles -F 16 --format json)" = 4f9909e5816b91bee387f
 test "$(digest irreducibles -F 16 --format json)" = 4f9909e5816b91bee387f5291428b5c41ba6f7ed35e95fe5e234a59f55e6552c
 test "$(digest oracle hitting-sets -B 13,14 --format json)" = 9d1e1254b821b410864014bfe76afcffa32406fbd52f9845e63ba34579a6e5a3
 test "$(digest solve -B 13,14 --format json)" = 9d1e1254b821b410864014bfe76afcffa32406fbd52f9845e63ba34579a6e5a3
+test "$(digest oracle irreducibles -F 16)" = b2fb0774de40c27ced0907eed35612a50f37a1752b6a767b2fc3f46967461943
+test "$(digest irreducibles -F 16)" = b2fb0774de40c27ced0907eed35612a50f37a1752b6a767b2fc3f46967461943
+test "$(digest oracle hitting-sets -B 13,14)" = f65293825378802f48dfae5c53e9df5472f6221ff7fa7f4648b705d463052ffe
+test "$(digest solve -B 13,14)" = f65293825378802f48dfae5c53e9df5472f6221ff7fa7f4648b705d463052ffe
 capped() { bash -c "ulimit -v 400000; PYTHONPATH=src python -m numsem.cli $* | head -n 1" | sha256sum | cut -d' ' -f1; }
 test "$(capped semigroups -F 200)" = c9437705a49dcfc1e0f4724b5a23552cdff29927d6cabd7302bebd6e70f044f8
 test "$(capped irreducibles -F 200)" = 6bea6fe804a848690b658e11d23edb307e7181edb1267e1156045b9e3dfb721b

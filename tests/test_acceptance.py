@@ -5,11 +5,15 @@ One test per criterion; each prints a single PASS/FAIL line (run with
 pin the worked golden examples, 5-7 run exhaustive differential grids
 against the brute-force oracle, 8 re-checks the structural laws on every
 semigroup the other suites produce, and 9 anchors the partition counter.
+TestGenusTree reaches past the oracle's caps with an independent walk of
+the tree of numerical semigroups.
 """
 
 import random
 import time
 from itertools import combinations
+
+import pytest
 
 from numsem.classes import enumerate_with_frobenius, frobenius_class, trace_family
 from numsem.core import (
@@ -278,3 +282,56 @@ def test_criterion_9_partition_count_anchor():
     start = time.perf_counter()
     ok = len(partitions(5)) == 7
     report(9, "partitions(5) has exactly 7 tuples", ok, time.perf_counter() - start, 1.0)
+
+
+def genus_tree(frobenius_max: int, required=()):
+    """(F, members on [0, F_max]) of every numerical semigroup with F <= F_max containing required.
+
+    The tree of numerical semigroups (Fromentin and Hivert, Math. Comp. 85,
+    2016; Bras-Amoros, Semigroup Forum 76, 2008): the root is N, with F =
+    -1, and the children of S are S minus g for each minimal generator
+    g > F(S) that is not required.  Each semigroup appears once, at depth
+    its genus, and F(child) = g, so the nodes with F <= F_max form a
+    subtree.  Plain int bit operations, with nothing from numsem: g is a
+    minimal generator when no two nonzero members sum to it.
+    """
+    half = (2 << frobenius_max // 2) - 1
+    stack = [(-1, (2 << frobenius_max) - 1)]
+    while stack:
+        frobenius, members = stack.pop()
+        yield frobenius, members
+        nonzero, sums = members & ~1, 0
+        low = nonzero & half
+        while low:
+            sums |= nonzero << (low & -low).bit_length() - 1
+            low &= low - 1
+        for g in range(max(frobenius, 0) + 1, frobenius_max + 1):
+            if not sums >> g & 1 and g not in required:
+                stack.append((g, members ^ 1 << g))
+
+
+class TestGenusTree:
+    def test_genus_counts(self):
+        counts = [0] * 11
+        for _, members in genus_tree(19):  # genus g <= 10 implies F <= 2g - 1 <= 19
+            genus = 20 - members.bit_count()
+            if genus <= 10:
+                counts[genus] += 1
+        assert counts == [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204]
+
+    @pytest.mark.parametrize("required, frobenius_max", [((), 30), ((5,), 60), ((7,), 50)])
+    def test_frobenius_slices_match_the_enumerations(self, required, frobenius_max):
+        nodes: dict[int, list[int]] = {}
+        for frobenius, members in genus_tree(frobenius_max, required):
+            if frobenius >= 15:
+                nodes.setdefault(frobenius, []).append(members & (2 << frobenius) - 1)
+        for frobenius in range(15, frobenius_max + 1):
+            tree = sorted(nodes.get(frobenius, []))
+            assert bool(tree) == feasible(required, frobenius)
+            if not tree:
+                continue
+            found = enumerate_with_frobenius(required, frobenius)
+            assert tree == sorted(s.member_mask() for s in found)
+            genus = (frobenius + 2) // 2
+            irreducible = [m for m in tree if frobenius + 1 - m.bit_count() == genus]
+            assert irreducible == sorted(s.member_mask() for s in enumerate_irreducibles(required, frobenius))

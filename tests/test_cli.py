@@ -161,12 +161,26 @@ class TestOracleSubcommands:
             jsonschema.validate(record, RECORD_SCHEMA)
         assert [r["elements"] for r in records] == [[3], [2, 1], [1, 1, 1]]
 
-    def test_irreducibles_match_main_pipeline(self, capsys):
-        code, brute, _ = invoke(capsys, "oracle", "irreducibles", "-A", "4", "-F", "11")
-        assert code == EXIT_OK
-        code, fast, _ = invoke(capsys, "irreducibles", "-A", "4", "-F", "11")
-        assert code == EXIT_OK
-        assert sorted(brute.splitlines()) == sorted(fast.splitlines())
+    # The oracle subcommands print through the record builders and the main
+    # commands through the table pass, so these grids compare the two
+    # renderers: stdout, stderr and the exit code, infeasible input included.
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("kind", ["semigroups", "irreducibles"])
+    @pytest.mark.parametrize("required", ["", "3", "4", "5,7"])
+    def test_frobenius_queries_print_what_the_main_command_prints(self, capsys, required, kind, fmt):
+        for frobenius in range(1, 13):
+            query = (kind, "-A", required, "-F", str(frobenius), "--format", fmt)
+            expected = invoke(capsys, *query)
+            assert expected[0] in (EXIT_OK, EXIT_INFEASIBLE)
+            assert invoke(capsys, "oracle", *query) == expected
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_hitting_sets_print_what_solve_prints(self, capsys, fmt):
+        for pair in itertools.combinations(range(3, 13), 2):
+            forbidden = ",".join(map(str, pair))
+            expected = invoke(capsys, "solve", "-B", forbidden, "--format", fmt)
+            assert expected[0] == EXIT_OK
+            assert invoke(capsys, "oracle", "hitting-sets", "-B", forbidden, "--format", fmt) == expected
 
     def test_hitting_sets(self, capsys):
         code, out, _ = invoke(capsys, "oracle", "hitting-sets", "-A", "4,9", "-B", "11,14")
@@ -349,7 +363,7 @@ class TestDeterminism:
 
     def test_import_leaves_the_oracle_out(self):
         # Only the oracle subcommands and frontier.check_solution import it,
-        # and only oracle partitions imports json.  The record types are
+        # and only the oracle subcommands import json.  The record types are
         # named tuples, so nothing loads dataclasses and its inspect chain.
         code = (
             "import sys, numsem.cli; print('numsem.oracle' in sys.modules,"
@@ -492,7 +506,8 @@ class TestFullWidthRenderer:
             for size in (1, CHUNK - 1, CHUNK, CHUNK + 1):
                 masks = [pool[i % len(pool)] for i in range(size)]
                 expected = [lines[i % len(pool)] for i in range(size)]
-                for count in {1, size - 1, size} - {0}:
+                # 31 and 32 lie on both sides of _render's switch from one copy to slices.
+                for count in {count for count in (1, 31, 32, size - 1, size) if 0 < count <= size}:
                     assert self.rendered(frob, masks, count, fmt, kind) == expected[:count]
 
     def test_byte_tables(self):
