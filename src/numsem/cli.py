@@ -42,9 +42,10 @@ block.  Two readers use the block width directly: :func:`_render`
 slices a chunk's bytes by it, and ``maxavoid._witness`` shifts the
 mirrored chunk by ``stride - 1 - b``.  A chunk's lines are written in
 one table pass (see :func:`_render`): each record is laid out as byte
-columns, and each byte is looked up in the table of its column, built
-on first use, so one ``join`` of lookups writes every line, with no
-format call per record.  A text line equals ``format_text`` of the record dict, and a
+columns, and each byte is looked up in the table of its column, from
+one cached set of tables per format, kind and F (see :func:`_tables`),
+so one ``join`` of lookups writes every line, with no format call per
+record.  A text line equals ``format_text`` of the record dict, and a
 JSON line equals ``json.dumps`` of it.  ``irreducibles``,
 ``maximal`` and ``solve`` share one generator of checked chunks, since
 the irreducibles with Frobenius number F are the maximal avoiders of the
@@ -141,22 +142,6 @@ def _parse_intlist(text: str, flag: str) -> list[int]:
     return out
 
 
-def _check_caps(frobenius: int | None, forbidden: list[int] | None):
-    if frobenius is not None:
-        if frobenius > MAX_INPUT:
-            raise errors.CapacityExceeded(f"-F must stay below 2^31, got {frobenius}")
-        if frobenius > MAX_FROBENIUS_INPUT:
-            raise errors.CapacityExceeded(
-                f"-F is capped at {MAX_FROBENIUS_INPUT}, got {frobenius}"
-            )
-        if frobenius < 1:
-            raise _UsageError("-F expects a positive integer")
-    if forbidden and max(forbidden) > MAX_FORBIDDEN_INPUT:
-        raise errors.CapacityExceeded(
-            f"-B values are capped at {MAX_FORBIDDEN_INPUT}, got {max(forbidden)}"
-        )
-
-
 def frobenius_display(s: NumericalSemigroup) -> int:
     """Presentation value: -1 for the full semigroup, F otherwise."""
     return -1 if s.is_full else s.frobenius
@@ -218,61 +203,61 @@ def format_text(record: dict) -> str:
 _POPCOUNT = bytes(b.bit_count() for b in range(256))
 
 
-def _byte_table(j: int, sep: str, head: str | None = None) -> tuple[str, ...]:
+@functools.cache
+def _byte_table(j: int, sep: str) -> tuple[str, ...]:
     """For each byte value, the tokens of its set bits as byte j of a bitmap, joined.
 
     Bit i stands for the token sep + str(8j + i), with the separator of
     the format: "," in text, ", " in JSON.  Built by doubling: the
     entries with bit i set are those below 2^i, each followed by the
-    token of bit i.  With head, the table of byte 0 of a gap set, which
-    holds bit 1 (1 is a gap of every semigroup but N): head, then the
-    tokens without the leading separator, so bit 1 stands for "1".
+    token of bit i.
     """
-    if head is not None:
-        return tuple(head + entry[len(sep):] for entry in _byte_table(0, sep))
     table = [""]
     for i in range(8 * j, 8 * j + 8):
         table += [f"{entry}{sep}{i}" for entry in table]
     return tuple(table)
 
 
-# The tables of bytes 0, 1, ..., one list per separator, each table built on first use.
-_BYTE_TABLES: dict[str, list[tuple[str, ...]]] = {",": [], ", ": []}
-
-
-def _byte_tables(sep: str, count: int) -> list[tuple[str, ...]]:
-    """The table of each byte below count with the separator, and of any byte built before."""
-    tables = _BYTE_TABLES[sep]
-    if len(tables) < count:
-        tables.extend(_byte_table(j, sep) for j in range(len(tables), count))
-    return tables
-
-
 @functools.cache
 def _line_tables(fmt: str, kind: str) -> tuple[str, str, tuple[str, ...], str, tuple[str, ...], tuple]:
-    """The fixed text of a record line of the format and kind, for _render.
+    """The fixed text of a record line of the format and kind, for _tables.
 
     The only place that holds it: the separator of the format; the text
     that ends a line; the table of m, which ends a line and starts the
     next up to m; the template of the text between the generators and
-    the gaps, for _genus_table; the table of byte 0 of the gaps, and for
-    a JSON solution set, that of byte 0 of its elements.  JSON pieces are
-    written as json.dumps writes them.
+    the gaps; the table of byte 0 of the gaps, and for a JSON solution
+    set, that of byte 0 of its elements.  Byte 0 of a gap set holds bit 1
+    and not bit 0 (1 is a gap of every semigroup but N), so its entries
+    are those of _byte_table(0, sep) without the leading separator, after
+    the text that opens the list.  JSON pieces are written as json.dumps
+    writes them.
     """
     if fmt == "text":
-        sep, end, start, middle, elements = ",", "}\n", "<", "> | F={} g={} gaps={{", ()
+        sep, end, start, middle, head = ",", "}\n", "<", "> | F={} g={} gaps={{", ""
     else:
         sep, end = ", ", '], "elements": null}\n' if kind == "semigroup" else "]}\n"
         start = f'{{"kind": "{kind}", "msg": ['
         middle = '], "frobenius": {}, "genus": {}, "gaps": ['
-        elements = _byte_table(0, sep, '], "elements": [') if kind == "solution-set" else ()
-    return sep, end, tuple(f"{end}{start}{m}" for m in range(256)), middle, _byte_table(0, sep, ""), elements
+        head = '], "elements": [' if kind == "solution-set" else ""
+    first = tuple(entry[len(sep):] for entry in _byte_table(0, sep))
+    elements = tuple(head + entry for entry in first) if head else ()
+    return sep, end, tuple(f"{end}{start}{m}" for m in range(256)), middle, first, elements
 
 
 @functools.cache
-def _genus_table(frobenius: int, middle: str) -> tuple[str, ...]:
-    """For each genus g <= F, the middle template of _line_tables filled in with F and g."""
-    return tuple(middle.format(frobenius, g) for g in range(frobenius + 1))
+def _tables(fmt: str, kind: str, frobenius: int) -> tuple:
+    """Every table that _render looks up in a chunk of records of the format, kind and F.
+
+    The text that ends a line; the table of m; the byte tables of the
+    bytes 0, ..., (2F + 1) // 8 that a minimal generator (at most 2F + 1)
+    can reach; for each genus g <= F, the text between the generators and
+    the gaps; and the byte-0 tables of the gaps and of a JSON solution
+    set's elements, from _line_tables.
+    """
+    sep, end, multiplicities, middle, first, elements = _line_tables(fmt, kind)
+    byte = tuple(_byte_table(j, sep) for j in range((2 * frobenius + 1) // 8 + 1))
+    genus = tuple(middle.format(frobenius, g) for g in range(frobenius + 1))
+    return end, multiplicities, byte, genus, first, elements
 
 
 def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
@@ -289,10 +274,11 @@ def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
     The OR of the blocks (core._fold) bounds the generator columns that
     can be nonzero.  The columns are interleaved a record at a time, by
     one slice per column, or for a few records by one transposing copy.
-    Each byte is looked up in the table of its column: m's table ends the
-    previous line and starts this one, g's holds the text between the
-    generators and the gaps, and the others list the numbers of their set
-    bits, with the separator of the format.  So one join writes every
+    Each byte is looked up in the table of its column, all from one
+    cached call of _tables: m's table ends the previous line and starts
+    this one, g's holds the text between the generators and the gaps,
+    and the others list the numbers of their set bits, with the
+    separator of the format.  So one join writes every
     line in its final text, but for the end of the last, and the text
     before the first is cut off.
     """
@@ -315,9 +301,8 @@ def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
     counts = counts.to_bytes(2 * count, "little")
     layout = [counts[:count], *[raw[j::size] for j in msg],
               counts[count:], *[gap[j::size] for j in range(used)]]
-    sep, end, multiplicities, middle, first, elements = _line_tables(fmt, kind)
-    byte = _byte_tables(sep, max(msg.stop, used))
-    tables = [multiplicities, *byte[msg.start:msg.stop], _genus_table(frob, middle), first, *byte[1:used]]
+    end, multiplicities, byte, genus, first, elements = _tables(fmt, kind, frob)
+    tables = [multiplicities, *byte[msg.start:msg.stop], genus, first, *byte[1:used]]
     if elements:
         layout += layout[-used:]
         tables += [elements, *byte[1:used]]
@@ -446,11 +431,21 @@ def _dispatch(args):
     if command != "partitions":
         required = _parse_intlist(args.A, "-A")
         if command in ("irreducibles", "semigroups"):
-            _check_caps(args.F, None)
+            if args.F > MAX_INPUT:
+                raise errors.CapacityExceeded(f"-F must stay below 2^31, got {args.F}")
+            if args.F > MAX_FROBENIUS_INPUT:
+                raise errors.CapacityExceeded(
+                    f"-F is capped at {MAX_FROBENIUS_INPUT}, got {args.F}"
+                )
+            if args.F < 1:
+                raise _UsageError("-F expects a positive integer")
             targets = (args.F,)
         else:
             targets = _parse_intlist(args.B, "-B")
-            _check_caps(None, targets)
+            if targets and max(targets) > MAX_FORBIDDEN_INPUT:
+                raise errors.CapacityExceeded(
+                    f"-B values are capped at {MAX_FORBIDDEN_INPUT}, got {max(targets)}"
+                )
     if args.command != "oracle":
         kind = "solution-set" if command == "solve" else "semigroup"
 

@@ -675,8 +675,6 @@ def intersect(s: NumericalSemigroup, t: NumericalSemigroup) -> NumericalSemigrou
     """Membership conjunction; the Frobenius number is the max of the two."""
     frob = max(s.frobenius, t.frobenius)
     mask = s.member_mask(frob) & t.member_mask(frob)
-    if frob == 0:
-        return FULL_SEMIGROUP
     return NumericalSemigroup(frob, mask)
 
 

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import pytest
 
+from numsem import errors
 from numsem.classes import enumerate_with_frobenius, frobenius_class, trace_family
 from numsem.core import (
     NumericalSemigroup,
@@ -335,3 +336,29 @@ class TestGenusTree:
             genus = (frobenius + 2) // 2
             irreducible = [m for m in tree if frobenius + 1 - m.bit_count() == genus]
             assert irreducible == sorted(s.member_mask() for s in enumerate_irreducibles(required, frobenius))
+
+    @pytest.mark.parametrize("required, frobenius_max", [((), 24), ((5,), 26)])
+    def test_maximal_avoiders_are_the_maximal_nodes(self, required, frobenius_max):
+        # Every maximal avoider of B = {b1 < b2} has F = b2, so it is a node
+        # with F = b2 that avoids b1, below no other such node.  Below another
+        # means below one with a single member more: add the largest member
+        # the other has and this one lacks, which is below b2.
+        nodes: dict[int, set[int]] = {}
+        for frobenius, members in genus_tree(frobenius_max, required):
+            if frobenius >= 15:
+                nodes.setdefault(frobenius, set()).add(members & (2 << frobenius) - 1)
+        for b2 in range(15, frobenius_max + 1):
+            for b1 in range(9, b2):
+                avoiders = {m for m in nodes.get(b2, ()) if not m >> b1 & 1}
+                tops = sorted(m for m in avoiders
+                              if not any(m | 1 << x in avoiders for x in range(1, b2) if not m >> x & 1))
+                assert bool(tops) == (feasible(required, b1) and feasible(required, b2)), (b1, b2)
+                if not tops:
+                    for find in (maximal_avoiding, solve):
+                        with pytest.raises(errors.Infeasible):
+                            find(required, (b1, b2))
+                    continue
+                found = maximal_avoiding(required, (b1, b2))
+                assert sorted(s.member_mask() for s in found) == tops, (b1, b2)
+                gaps = sorted(tuple(x for x in range(b2 + 1) if not m >> x & 1) for m in tops)
+                assert solve(required, (b1, b2)) == gaps, (b1, b2)

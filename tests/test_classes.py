@@ -198,6 +198,11 @@ class TestEnumerateWithFrobenius:
         with pytest.raises(errors.Infeasible):
             enumerate_with_frobenius([1], 1)
 
+    @pytest.mark.parametrize("build", [enumerate_with_frobenius, make_context, enumerate_irreducibles])
+    def test_frobenius_must_be_positive(self, build):
+        with pytest.raises(ValueError, match="^the Frobenius number must be positive$"):
+            build((), 0)
+
     def test_empty_required_matches_oracle(self):
         assert enumerate_with_frobenius([], 3) == all_semigroups_with_frobenius(3)
 

@@ -295,6 +295,15 @@ class TestLimitsAndCaps:
         assert code == EXIT_CAPACITY
         assert "2^31" in err
 
+    @pytest.mark.parametrize("command", ["irreducibles", "semigroups"])
+    def test_frobenius_width_cap(self, capsys, command):
+        assert invoke(capsys, command, "-F", str(2**31)) == (
+            EXIT_CAPACITY, "", "capacity: -F must stay below 2^31, got 2147483648\n")
+
+    def test_negative_limit(self, capsys):
+        assert invoke(capsys, "irreducibles", "-A", "4", "-F", "11", "--limit", "-1") == (
+            EXIT_USAGE, "", "usage error: --limit expects a non-negative count\n")
+
 
 class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
@@ -511,25 +520,29 @@ class TestFullWidthRenderer:
                     assert self.rendered(frob, masks, count, fmt, kind) == expected[:count]
 
     def test_byte_tables(self):
-        # Every entry of both separators' tables, built one at a time and as _render takes them.
-        width = (2 * cli.MAX_FROBENIUS_INPUT + 2 + 7) // 8
-        for sep in (",", ", "):
-            tables = cli._byte_tables(sep, width)
-            assert len(tables) >= width
-            for j in range(width):
-                for table in (cli._byte_table(j, sep), tables[j]):
+        # Every entry of both separators' tables, as _tables gives them to _render at the widest F.
+        frob = cli.MAX_FROBENIUS_INPUT
+        for fmt, sep in (("text", ","), ("json", ", ")):
+            for kind in ("semigroup", "solution-set"):
+                _, _, tables, _, first, elements = cli._tables(fmt, kind, frob)
+                assert len(tables) == (2 * frob + 2 + 7) // 8  # the bytes of [0, 2F + 1]
+                for j, table in enumerate(tables):
+                    assert table is cli._byte_table(j, sep)
                     assert len(table) == 256
                     for b, entry in enumerate(table):
                         bits = [8 * j + i for i in range(8) if b >> i & 1]
                         assert entry == "".join(f"{sep}{i}" for i in bits), (sep, j, b)
-        # Byte 0 of a gap set holds bit 1 and not bit 0: the token of 1 has no separator.
-        for sep in (",", ", "):
-            for head in ("", '], "elements": ['):
-                table = cli._byte_table(0, sep, head)
-                assert len(table) == 256
-                for b in range(2, 256, 4):
-                    bits = [i for i in range(8) if b >> i & 1]
-                    assert table[b] == head + "1" + "".join(f"{sep}{i}" for i in bits[1:]), (sep, head, b)
+                # Byte 0 of a gap set holds bit 1 and not bit 0: the token of 1 has no separator.
+                heads = [("", first)]
+                if fmt == "json" and kind == "solution-set":
+                    heads.append(('], "elements": [', elements))
+                else:
+                    assert elements == ()
+                for head, table in heads:
+                    assert len(table) == 256
+                    for b in range(2, 256, 4):
+                        bits = [i for i in range(8) if b >> i & 1]
+                        assert table[b] == head + "1" + "".join(f"{sep}{i}" for i in bits[1:]), (sep, head, b)
 
 
 class TestParserReuse:

@@ -461,6 +461,11 @@ class TestMinimalGeneratingSet:
 
 
 class TestNumericalSemigroup:
+    def test_member_mask_below_frobenius(self):
+        s = sg([4, 6, 9])  # members 0, 4, 6, 8, 9, 10 below F = 11
+        for limit in range(s.frobenius):
+            assert s.member_mask(limit) == sum(1 << x for x in (0, 4, 6, 8, 9, 10) if x <= limit)
+
     def test_canonical_value_semantics(self):
         a = sg([4, 6, 9])
         b = NumericalSemigroup.from_small_elements({0, 4, 6, 8, 9, 10}, 11)
