@@ -43,10 +43,12 @@ slices a chunk's bytes by it, and ``maxavoid._witness`` shifts the
 mirrored chunk by ``stride - 1 - b``.  A chunk's lines are written in
 one table pass (see :func:`_render`): each record is laid out as byte
 columns, and each byte is looked up in the table of its column, from
-one cached set of tables per format, kind and F (see :func:`_tables`),
-so one ``join`` of lookups writes every line, with no format call per
-record.  A text line equals ``format_text`` of the record dict, and a
-JSON line equals ``json.dumps`` of it.  ``irreducibles``,
+one cached list of tables per format, kind, F and range of generator
+bytes (see :func:`_tables`), so one ``join`` of lookups writes every
+line, with no format call per record, and a byte table is built only
+for a byte that some chunk renders.  A text line equals
+``format_text`` of the record dict, and a JSON line equals
+``json.dumps`` of it.  ``irreducibles``,
 ``maximal`` and ``solve`` share one generator of checked chunks, since
 the irreducibles with Frobenius number F are the maximal avoiders of the
 single value F.  ``solve`` renders the maximal avoiders themselves as
@@ -245,19 +247,24 @@ def _line_tables(fmt: str, kind: str) -> tuple[str, str, tuple[str, ...], str, t
 
 
 @functools.cache
-def _tables(fmt: str, kind: str, frobenius: int) -> tuple:
-    """Every table that _render looks up in a chunk of records of the format, kind and F.
+def _tables(fmt: str, kind: str, frobenius: int, msg: range) -> tuple[str, bool, tuple]:
+    """The line end, and the table of each column that _render lays out, for chunks of this key.
 
-    The text that ends a line; the table of m; the byte tables of the
-    bytes 0, ..., (2F + 1) // 8 that a minimal generator (at most 2F + 1)
-    can reach; for each genus g <= F, the text between the generators and
-    the gaps; and the byte-0 tables of the gaps and of a JSON solution
-    set's elements, from _line_tables.
+    The key is the format, the kind, F, and msg, the range of bytes that
+    the generators but the least of the chunk's records fill (see
+    _render).  Returns the text that ends a line; whether the gaps are
+    listed twice, as a JSON solution set's elements; and the tables in
+    column order: m, the bytes of msg, the genus g <= F with the text
+    between the generators and the gaps, and the bytes of [0, F], twice
+    when the gaps are.  So no byte table is built for a byte that no
+    chunk renders.  The byte tables are the cached _byte_table(j, sep),
+    shared across F, and the other pieces come from _line_tables.
     """
     sep, end, multiplicities, middle, first, elements = _line_tables(fmt, kind)
-    byte = tuple(_byte_table(j, sep) for j in range((2 * frobenius + 1) // 8 + 1))
+    gaps = [first, *[_byte_table(j, sep) for j in range(1, frobenius // 8 + 1)]]
     genus = tuple(middle.format(frobenius, g) for g in range(frobenius + 1))
-    return end, multiplicities, byte, genus, first, elements
+    tables = [multiplicities, *[_byte_table(j, sep) for j in msg], genus, *gaps]
+    return end, bool(elements), tuple(tables + [elements, *gaps[1:]] if elements else tables)
 
 
 def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
@@ -274,20 +281,21 @@ def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
     The OR of the blocks (core._fold) bounds the generator columns that
     can be nonzero.  The columns are interleaved a record at a time, by
     one slice per column, or for a few records by one transposing copy.
-    Each byte is looked up in the table of its column, all from one
-    cached call of _tables: m's table ends the previous line and starts
-    this one, g's holds the text between the generators and the gaps,
-    and the others list the numbers of their set bits, with the
-    separator of the format.  So one join writes every
-    line in its final text, but for the end of the last, and the text
-    before the first is cut off.
+    Each byte is looked up in the table of its column, and one cached
+    call of _tables, keyed by the range of generator bytes that the fold
+    gives, hands over the list of every column's table: m's table ends
+    the previous line and starts this one, g's holds the text between
+    the generators and the gaps, and the others list the numbers of
+    their set bits, with the separator of the format.  So one join
+    writes every line in its final text, but for the end of the last,
+    and the text before the first is cut off.
     """
     frob, stride, size = leaves.frobenius, leaves.stride, leaves.stride // 8
     assert frob < 255, frob
     ones, generators, members = leaves.ones, leaves.generators, leaves.members
     if count < len(leaves):
         low = (1 << count * stride) - 1
-        ones, generators, members = ones & low, generators & low, members & low
+        ones, generators = ones & low, generators & low  # the gaps take the cut of ones
     rest = generators & (generators - ones)  # all but the least generator of each block
     gaps = ones * ((2 << frob) - 1) & ~members
     used, length = frob // 8 + 1, count * size  # the bytes of [0, F], and of the chunk
@@ -301,11 +309,9 @@ def _render(leaves: _Leaves, count: int, fmt: str, kind: str) -> str:
     counts = counts.to_bytes(2 * count, "little")
     layout = [counts[:count], *[raw[j::size] for j in msg],
               counts[count:], *[gap[j::size] for j in range(used)]]
-    end, multiplicities, byte, genus, first, elements = _tables(fmt, kind, frob)
-    tables = [multiplicities, *byte[msg.start:msg.stop], genus, first, *byte[1:used]]
-    if elements:
+    end, twice, tables = _tables(fmt, kind, frob, msg)
+    if twice:
         layout += layout[-used:]
-        tables += [elements, *byte[1:used]]
     record = len(layout)
     if count < 32:  # one C loop over the bytes costs less than a slice per column
         columns = memoryview(b"".join(layout)).cast("B", (record, count)).tobytes("F")

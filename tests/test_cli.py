@@ -519,14 +519,25 @@ class TestFullWidthRenderer:
                 for count in {count for count in (1, 31, 32, size - 1, size) if 0 < count <= size}:
                     assert self.rendered(frob, masks, count, fmt, kind) == expected[:count]
 
+    def test_render_asserts_f_below_255(self):
+        # {0} and [256, oo) has F = 255 and multiplicity 256, a count that needs a ninth bit.
+        (leaves,) = _leaf_chunks(255, [1])
+        with pytest.raises(AssertionError, match="^255$"):
+            cli._render(leaves, 1, "text", "semigroup")
+
     def test_byte_tables(self):
-        # Every entry of both separators' tables, as _tables gives them to _render at the widest F.
+        # Every entry of both separators' tables, as _tables gives them to _render at the widest F,
+        # for generators in every byte of [0, 2F + 1], then the gap tables of the bytes of [0, F].
         frob = cli.MAX_FROBENIUS_INPUT
+        msg, used = range((2 * frob + 1) // 8 + 1), frob // 8 + 1
         for fmt, sep in (("text", ","), ("json", ", ")):
             for kind in ("semigroup", "solution-set"):
-                _, _, tables, _, first, elements = cli._tables(fmt, kind, frob)
-                assert len(tables) == (2 * frob + 2 + 7) // 8  # the bytes of [0, 2F + 1]
-                for j, table in enumerate(tables):
+                _, twice, tables = cli._tables(fmt, kind, frob, msg)
+                assert len(msg) == (2 * frob + 2 + 7) // 8  # the bytes of [0, 2F + 1]
+                assert len(tables) == 1 + len(msg) + 1 + used * (2 if twice else 1)
+                first = tables[len(msg) + 2]
+                gaps = tables[len(msg) + 3:len(msg) + 2 + used]
+                for j, table in [*zip(msg, tables[1:]), *enumerate(gaps, 1)]:
                     assert table is cli._byte_table(j, sep)
                     assert len(table) == 256
                     for b, entry in enumerate(table):
@@ -535,14 +546,42 @@ class TestFullWidthRenderer:
                 # Byte 0 of a gap set holds bit 1 and not bit 0: the token of 1 has no separator.
                 heads = [("", first)]
                 if fmt == "json" and kind == "solution-set":
-                    heads.append(('], "elements": [', elements))
+                    assert twice
+                    heads.append(('], "elements": [', tables[len(msg) + 2 + used]))
+                    assert tables[len(msg) + 3 + used:] == gaps
                 else:
-                    assert elements == ()
+                    assert not twice
                 for head, table in heads:
                     assert len(table) == 256
                     for b in range(2, 256, 4):
                         bits = [i for i in range(8) if b >> i & 1]
                         assert table[b] == head + "1" + "".join(f"{sep}{i}" for i in bits[1:]), (sep, head, b)
+
+
+class TestRenderTables:
+    """The byte tables built for a query are those of the bytes its lines render."""
+
+    @pytest.mark.parametrize("argv, frob, count", [
+        (["irreducibles", "-A", "9", "-F", "60"], 60, 8),
+        (["semigroups", "-A", "5", "-F", "36"], 36, 6),
+        (["maximal", "-B", "11,13", "--format", "json"], 13, 3),
+    ])
+    def test_tables_follow_the_chunk(self, capsys, argv, frob, count):
+        for cache in (cli._byte_table, cli._line_tables, cli._tables):
+            cache.cache_clear()
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        if "json" in argv:
+            sep, gens = ", ", [json.loads(line)["msg"] for line in out.splitlines()]
+        else:
+            sep, gens = ",", [line[1:line.index(">")].split(",") for line in out.splitlines()]
+        # The gaps fill the bytes of [0, F]; the least generator is written as a count.
+        used = set(range(frob // 8 + 1)) | {int(g) // 8 for msg in gens for g in msg[1:]}
+        assert len(used) == count
+        assert cli._byte_table.cache_info().currsize == count
+        for j in used:
+            cli._byte_table(j, sep)
+        assert cli._byte_table.cache_info().currsize == count
 
 
 class TestParserReuse:

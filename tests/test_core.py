@@ -302,6 +302,16 @@ class TestMultiplicityStride:
                 at_bound += s.minimal_generators()[0] == bound and (t + bound) // 2 in s
         assert at_bound > 0
 
+    def test_the_scan_asserts_a_stride_too_small_for_the_multiplicity(self):
+        # {0, 4, 5, 6} with F = 7 has multiplicity 4: its window is [1, 11] and its
+        # columns reach 5, so its sums reach bit 16, past a stride of 16 bits.
+        mask = 1 | 1 << 4 | 1 << 5 | 1 << 6
+        assert _stride(7, 4) == 24
+        (leaves,) = _leaf_chunks(7, [mask], _stride(7, 4))
+        assert leaves.semigroups()[0].minimal_generators() == (4, 5, 6)
+        with pytest.raises(AssertionError, match="the sums pass the stride 16"):
+            list(_leaf_chunks(7, [mask], 16))
+
 
 class TestLeafChunks:
     """The chunk check of search leaves against from_mask and two_scan_from_mask, one by one."""

@@ -345,10 +345,19 @@ class TestMaximalAvoiding:
             maximal_avoiding([], [5, 7])
 
     def test_asserts_catch_a_result_that_misses_the_required_set(self, monkeypatch):
-        # The bottom {0} misses A; its mirror fill {0, 4, 5, 6} avoids B.
+        # The bottom {0} misses A; its mirror fill {0, 4, 5, 6} avoids B.  Its multiplicity 4
+        # passes the stride of the bound min(A) = 3, so the scan's stride check fires first.
         monkeypatch.setattr(numsem.maxavoid, "_search", lambda *args: iter([1]))
         with pytest.raises(AssertionError):
             maximal_avoiding([3], [7])
+
+    def test_asserts_catch_a_result_that_misses_the_required_set_at_its_stride(self, monkeypatch):
+        # The bottom {0, 2, 4} misses A; its mirror fill <2, 13> avoids B, and its
+        # multiplicity 2 fits the stride of the bound min(A) = 5, so only the
+        # contains-A check can refuse it.  The message is the packed tops.
+        monkeypatch.setattr(numsem.maxavoid, "_search", lambda *args: iter([1 | 1 << 2 | 1 << 4]))
+        with pytest.raises(AssertionError, match=f"^{sum(1 << x for x in (0, 2, 4, 6, 8, 10))}$"):
+            maximal_avoiding([5], [11])
 
     @pytest.mark.parametrize(
         "forbidden, count",
