@@ -46,7 +46,13 @@ columns, and each byte is looked up in the table of its column, from
 one cached list of tables per format, kind, F and range of generator
 bytes (see :func:`_tables`), so one ``join`` of lookups writes every
 line, with no format call per record, and a byte table is built only
-for a byte that some chunk renders.  A text line equals
+for a byte that some chunk renders.  The genus column's table is one
+per format and F, shared by both kinds and every range of generator
+bytes (see :func:`_genus_table`).  It holds the text of the genera
+ceil((F + 1) / 2) to F, and None below: a semigroup with Frobenius
+number F never holds both x and F - x, so no record has a lower genus,
+and a chunk that carried one would make the ``join`` raise rather than
+write its line.  A text line equals
 ``format_text`` of the record dict, and a JSON line equals
 ``json.dumps`` of it.  ``irreducibles``,
 ``maximal`` and ``solve`` share one generator of checked chunks, since
@@ -247,6 +253,20 @@ def _line_tables(fmt: str, kind: str) -> tuple[str, str, tuple[str, ...], str, t
 
 
 @functools.cache
+def _genus_table(middle: str, frobenius: int) -> tuple[str | None, ...]:
+    """The text between the generators and the gaps of each genus g <= F, for _tables.
+
+    middle is the template of that text in _line_tables, so the formats
+    differ and the kinds of one format share the table.  A numerical
+    semigroup with Frobenius number F never holds both x and F - x, so
+    its genus is at least ceil((F + 1) / 2); the entries below are None,
+    and a join that met one would raise rather than write a line.
+    """
+    low = (frobenius + 2) // 2
+    return (None,) * low + tuple(middle.format(frobenius, g) for g in range(low, frobenius + 1))
+
+
+@functools.cache
 def _tables(fmt: str, kind: str, frobenius: int, msg: range) -> tuple[str, bool, tuple]:
     """The line end, and the table of each column that _render lays out, for chunks of this key.
 
@@ -258,11 +278,14 @@ def _tables(fmt: str, kind: str, frobenius: int, msg: range) -> tuple[str, bool,
     between the generators and the gaps, and the bytes of [0, F], twice
     when the gaps are.  So no byte table is built for a byte that no
     chunk renders.  The byte tables are the cached _byte_table(j, sep),
-    shared across F, and the other pieces come from _line_tables.
+    shared across F; the genus table is the cached _genus_table of the
+    format and F, shared by both kinds and every msg, with None below
+    ceil((F + 1) / 2), a genus no semigroup with Frobenius number F has;
+    the other pieces come from _line_tables.
     """
     sep, end, multiplicities, middle, first, elements = _line_tables(fmt, kind)
     gaps = [first, *[_byte_table(j, sep) for j in range(1, frobenius // 8 + 1)]]
-    genus = tuple(middle.format(frobenius, g) for g in range(frobenius + 1))
+    genus = _genus_table(middle, frobenius)
     tables = [multiplicities, *[_byte_table(j, sep) for j in msg], genus, *gaps]
     return end, bool(elements), tuple(tables + [elements, *gaps[1:]] if elements else tables)
 

@@ -278,11 +278,14 @@ class NumericalSemigroup:
         return self.frobenius == 0
 
     def member_mask(self, limit: int | None = None) -> int:
-        """Bitmap of members on [0, limit] (default: [0, F]), implicit members included."""
+        """Bitmap of members on [0, limit] (default: [0, F]), implicit members included.
+
+        A negative limit gives the empty range, so 0.
+        """
         if limit is None or limit == self.frobenius:
             return self._mask
         if limit < self.frobenius:
-            return self._mask & ((1 << (limit + 1)) - 1)
+            return self._mask & ((1 << max(limit + 1, 0)) - 1)
         high = ((1 << (limit - self.frobenius)) - 1) << (self.frobenius + 1)
         return self._mask | high
 

@@ -559,7 +559,44 @@ class TestFullWidthRenderer:
 
 
 class TestRenderTables:
-    """The byte tables built for a query are those of the bytes its lines render."""
+    """A query builds the byte tables of the bytes its lines render, and one genus table per F."""
+
+    def test_one_genus_table_per_format_and_f(self, capsys, monkeypatch):
+        # Both queries write the 498 irreducibles with F = 45, as two kinds, from chunks that differ in
+        # their range of generator bytes; each format keeps one genus table for them all.
+        for cache in (cli._byte_table, cli._line_tables, cli._tables, cli._genus_table):
+            cache.cache_clear()
+        tables, keys = cli._tables, set()
+        monkeypatch.setattr(cli, "_tables", lambda *key: keys.add(key) or tables(*key))
+        for fmt in ("text", "json"):
+            for argv in (["irreducibles", "-F", "45"], ["solve", "-B", "45"]):
+                assert invoke(capsys, *argv, "--format", fmt)[0] == EXIT_OK
+        assert tables.cache_info().currsize == len(keys)
+        assert cli._genus_table.cache_info().currsize == 2
+        for fmt in ("text", "json"):
+            middle = cli._line_tables(fmt, "semigroup")[3]
+            genus = cli._genus_table(middle, 45)
+            # No semigroup with F = 45 has genus below 23, and every irreducible one has genus 23.
+            assert [g for g, entry in enumerate(genus) if entry is None] == list(range(23))
+            assert genus[23:] == tuple(middle.format(45, g) for g in range(23, 46))
+            mine = [key for key in keys if key[0] == fmt]
+            assert {kind for _, kind, _, _ in mine} == {"semigroup", "solution-set"}
+            assert len({msg for *_, msg in mine}) > 1
+            for key in mine:
+                assert tables(*key)[2][1 + len(key[3])] is genus
+        assert cli._genus_table.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_render_refuses_a_genus_no_semigroup_has(self, fmt):
+        # <3, 5> has gaps {1, 2, 4, 7}; with 4 also set the chunk holds 3 + 4 = F, and genus 3 < 4.
+        mask = sum(1 << x for x in (0, 3, 5, 6))
+        (leaves,) = _leaf_chunks(7, [mask])
+        line = format_text if fmt == "text" else json.dumps
+        record = semigroup_record(NumericalSemigroup.from_mask(7, mask))
+        assert cli._render(leaves, 1, fmt, "semigroup") == line(record) + "\n"
+        leaves.members |= 1 << 4
+        with pytest.raises(TypeError, match="NoneType"):
+            cli._render(leaves, 1, fmt, "semigroup")
 
     @pytest.mark.parametrize("argv, frob, count", [
         (["irreducibles", "-A", "9", "-F", "60"], 60, 8),

@@ -473,7 +473,7 @@ class TestMinimalGeneratingSet:
 class TestNumericalSemigroup:
     def test_member_mask_below_frobenius(self):
         s = sg([4, 6, 9])  # members 0, 4, 6, 8, 9, 10 below F = 11
-        for limit in range(s.frobenius):
+        for limit in range(-3, s.frobenius):
             assert s.member_mask(limit) == sum(1 << x for x in (0, 4, 6, 8, 9, 10) if x <= limit)
 
     def test_canonical_value_semantics(self):
