@@ -19,6 +19,21 @@ Read and Tarjan, Networks 5, 1975).  Each leaf M becomes an irreducible
 by the mirror fill, which adds every x in (F/2, F) with F - x outside M.
 Leaves come out in gap order by construction.
 
+Near F/2 the decisions need not be made.  Let m be the least nonzero
+member of M, b2 the highest forbidden value below F (the avoid sets of
+numsem.maxavoid), and L = max(F // 3, b2 // 2, (F - m) // 2).  Positions
+q in (L, F/2) have 3q > F, 2q > b2 and 2q > F - m, so no three of them
+reach F, two of them and a nonzero member of M pass F, and two of them
+add up to a value strictly between b2 and F.  So the member q is refused
+exactly when b - q is in M for some forbidden b (or F): the test against
+the node's own M, whatever else is chosen there.  Once the next position
+passes L, the leaves below are the closures of M with each subset of the
+free positions, streamed in gap order without a decision (see
+_free_tails).  L rises to (F - k) // 2 when a member k below m is
+pushed, since k becomes the least member.  _search takes that loop when
+the root's range (L, F/2) holds at least six positions; below that the
+tails are too short to pay for their lists.
+
 The same search over all of [1, F) yields every semigroup with Frobenius
 number F containing A.  The semigroups query calls its own loop for that
 range (see _full_search), which uses the same reflection: it carries,
@@ -105,21 +120,46 @@ def irreducible_closure(s: NumericalSemigroup) -> NumericalSemigroup:
 def _search(mask: int, frobenius: int, last: int, avoid: int):
     """The bitmaps generated by mask and positions in [1, last] that miss F and avoid, lazily.
 
-    mask must be closed under addition on [0, F].  Positions 1, ..., last
-    are decided in ascending order, gap before member, so the leaves are
-    distinct on [1, last] and come out in gap order by construction.
-    Adding k closes M by shift-or doubling.  The member branch is taken
-    only when the closed bitmap misses F and every bit of avoid; the gap
-    branch always is, so every path ends in a leaf.  The member branch is
-    refused before its doubling when b - k is in M for some stop value b
-    (F or a bit of avoid), since M + k then holds b; the test after the
-    doubling refuses the rest, where b - jk is in M only for some j >= 2,
-    or M itself holds b.  Only member branches
-    are pushed: the gap branch is walked in place, and since every branch
-    pushed below it is popped after it, the order is depth first, gap
-    before member, as if both were pushed.  Every position is decided in
-    turn, so the loop is correct for any range; the full range [1, F) of
-    semigroups has its own loop, _full_search.
+    mask must be closed under addition on [0, F] and miss F and avoid,
+    whose bits lie in [1, F].  The leaves come in gap order from one of
+    two loops, picked by the input.  Let m be the least nonzero member of
+    M and b2 the highest bit of avoid below F.  In the half range (last <
+    F/2), past L = max(F // 3, b2 // 2, (F - m) // 2) a member q is
+    refused only by the early test, b - q in the node's own M, since no
+    sum of three such positions, or of two and a nonzero member, reaches
+    F; L rises when a member below m is pushed (see _free_tails).  So
+    when the root's range
+    (L, last] holds at least six positions, _free_tails streams the tails
+    past L undecided.  Otherwise _decide_all decides every position, in
+    any range.  With fewer than six positions the tails are too short to
+    pay for their lists.
+    """
+    # Cheap tests first, so that small queries do not pay for L: (L, last]
+    # holds at most last - F // 3 positions, and at most m / 2, so six
+    # need no member in 1..11 (the bits of 0xFFE).
+    if (2 * last < frobenius and last - frobenius // 3 >= 6 and not mask & 0xFFE
+            and last - _tail_floor(mask, frobenius, avoid) >= 6):
+        return _free_tails(mask, frobenius, last, avoid)
+    return _decide_all(mask, frobenius, last, avoid)
+
+
+def _decide_all(mask: int, frobenius: int, last: int, avoid: int):
+    """The leaves of _search, with every position in [1, last] decided in turn.
+
+    Positions 1, ..., last are decided in ascending order, gap before
+    member, so the leaves are distinct on [1, last] and come out in gap
+    order by construction.  Adding k closes M by shift-or doubling.  The
+    member branch is taken only when the closed bitmap misses F and
+    every bit of avoid; the gap branch always is, so every path ends in a
+    leaf.  The member branch is refused before its doubling when b - k is
+    in M for some stop value b (F or a bit of avoid), since M + k then
+    holds b; the test after the doubling refuses the rest, where b - jk
+    is in M only for some j >= 2, or M itself holds b.  Only member
+    branches are pushed: the gap branch is walked in place, and since
+    every branch pushed below it is popped after it, the order is depth
+    first, gap before member, as if both were pushed.  Every position is
+    decided in turn, so the loop is correct for any range; the full
+    range [1, F) of semigroups has its own loop, _full_search.
     """
     full = (2 << frobenius) - 1
     stop = 1 << frobenius | avoid
@@ -140,6 +180,81 @@ def _search(mask: int, frobenius: int, last: int, avoid: int):
                     step *= 2
                 if not member & stop:
                     stack.append((member, k + 1))
+            k += 1
+
+
+def _tail_floor(mask: int, frobenius: int, avoid: int) -> int:
+    """L = max(F // 3, b2 // 2, (F - m) // 2), where the free tails of _free_tails start.
+
+    m is the least nonzero member of mask, and b2 the highest bit of
+    avoid below F; a term is dropped when there is no such m or b2.
+    """
+    nonzero = mask & ~1
+    least = (nonzero & -nonzero).bit_length() - 1 if nonzero else frobenius + 1
+    below = (avoid & ((1 << frobenius) - 1)).bit_length() - 1
+    return max(frobenius // 3, below // 2, (frobenius - least) // 2)
+
+
+def _free_tails(mask: int, frobenius: int, last: int, avoid: int):
+    """The leaves of _decide_all(mask, F, last, avoid) for last < F/2, with the free tails undecided.
+
+    The tail fact: let m be the least nonzero member of M, b2 the highest
+    stop value below F, and L = max(F // 3, b2 // 2, (F - m) // 2) (see
+    _tail_floor).  A set T of positions in (L, last] has 3q > F, 2q > F - m
+    and 2q > b2 for each q in T, so M joined with T gains only q and 2q,
+    q + y for y in M, and p + q for p in T: no three positions of T reach
+    F, and p + q + y passes F for every nonzero y in M.  None of them is
+    a position below last but q itself, so T fills no other position.  And
+    2q and p + q lie strictly between b2 and F, so the member branch of q
+    is refused exactly when b - q is in M for some stop value b: by the
+    early test against the node's own M, whatever else T holds.  So once
+    the next undecided position passes L, the leaves below the node are
+    the closures of M and T for every subset T of its free positions, the
+    positions of [k, last] outside M that pass that test.  Each closure
+    step is one shift-or, h | ((h | 1 << q) << q) & full, with no doubling.
+
+    The node streams them in gap order, as _full_search streams its
+    tails: the list of the highest eight positions, grown from the
+    highest down, for each subset of the lower positions in turn and
+    lazily.  A lower subset changes the closure, so each rebuilds the
+    list.  L is kept on each stack entry, and rises to (F - k) // 2 when
+    a member k below m is pushed; below L, each position is decided as
+    in _decide_all.
+    """
+    full = (2 << frobenius) - 1
+    stop = 1 << frobenius | avoid
+    stack = [(mask, 1, min(_tail_floor(mask, frobenius, avoid), last))]
+    while stack:
+        mask, k, limit = stack.pop()
+        while True:
+            free = ~mask >> k  # the least position >= k outside M
+            k += (free & -free).bit_length() - 1
+            if k > limit:
+                tail = [q for q in range(k, last + 1) if not (mask >> q & 1 or stop >> q & mask)]
+                if len(tail) < 2:  # no free position, or one: the most common tails
+                    yield mask
+                    for q in tail:
+                        yield mask | ((mask | 1 << q) << q) & full
+                    break
+                high = tail[:-9:-1]  # the highest eight, highest first
+                for low in product(*[(0, q) for q in tail[:-8]]) if len(tail) > 8 else [()]:
+                    leaf = mask
+                    for q in low:  # q = 0 adds nothing: bit 0 is set
+                        leaf |= ((leaf | 1 << q) << q) & full
+                    leaves = [leaf]
+                    for q in high:
+                        bit = 1 << q
+                        leaves += [h | ((h | bit) << q) & full for h in leaves]
+                    yield from leaves
+                break
+            if not stop >> k & mask:
+                member, step = mask, k
+                while step <= frobenius:
+                    member |= (member << step) & full
+                    step *= 2
+                if not member & stop:
+                    raised = (frobenius - k) // 2  # min(m, k) is the new least member
+                    stack.append((member, k + 1, limit if limit >= raised else min(raised, last)))
             k += 1
 
 

@@ -47,10 +47,13 @@ IRR, MAX, CORE, CLI = (f"src/numsem/{name}.py" for name in ("irreducible", "maxa
 ACCEPT, T_CLI, T_CORE, T_MAX, T_IRR = (
     f"tests/test_{name}.py" for name in ("acceptance", "cli", "core", "maxavoid", "irreducible"))
 SEARCH = "_batches(_search(monoid.member_mask(), t, (t - 1) // 2, avoid))"
+PUSH = "\n                    stack.append((member, k + 1))"  # _decide_all's push, not _free_tails'
+LOWS = "product(*[(0, q) for q in tail[:-8]]) if len(tail) > 8 else [()]"
+TAILS = f"{T_IRR}::TestSearchOrder::test_the_half_range_tails"
 
 MUTANTS = (
-    Mutant(IRR, "if not member & stop:", "if not member & stop and k != 2:",
-           "_search refuses every member branch at position 2",
+    Mutant(IRR, f"if not member & stop:{PUSH}", f"if not member & stop and k != 2:{PUSH}",
+           "_decide_all refuses every member branch at position 2",
            (f"{ACCEPT}::test_criterion_1_irreducibles_golden",)),
     Mutant(IRR, "next(lows)  #", "next(lows), next(lows)  #",
            "_full_search skips the first lower subset of a long free tail",
@@ -103,6 +106,18 @@ MUTANTS = (
     Mutant(CLI, "assert frob < 255, frob", "pass",
            "_render adds counts that carry out of their byte",
            (f"{T_CLI}::TestFullWidthRenderer::test_render_asserts_f_below_255",)),
+    Mutant(IRR, f"for low in {LOWS}:", f"for low in [x for i, x in enumerate({LOWS}) if i != 1]:",
+           "_free_tails skips the first nonempty lower subset of a tail past eight positions",
+           (f"{TAILS}[required0-71]",)),
+    Mutant(IRR, "below // 2, ", "",
+           "_tail_floor drops b2 // 2, so a tail streams a position q with 2q = b2",
+           (f"{TAILS}_below_a_second_forbidden_value[forbidden0]",)),
+    Mutant(IRR, "limit if limit >= raised else min(raised, last)", "limit",
+           "_free_tails keeps L when it pushes a member below m",
+           (f"{TAILS}[required0-71]",)),
+    Mutant(IRR, "not mask & 0xFFE", "not mask & 0x3FFE",
+           "_search's cheap test also rules the tail loop out when the least member is 12 or 13",
+           (f"{T_IRR}::TestSearchOrder::test_the_half_range_pick[required11-forbidden11-6]",)),
     Mutant(CLI, "low = (frobenius + 2) // 2", "low = 0",
            "_genus_table holds text for a genus no semigroup with that F has",
            (f"{T_CLI}::TestRenderTables::test_render_refuses_a_genus_no_semigroup_has",)),

@@ -16,8 +16,11 @@ from numsem.core import (
     gap_key,
 )
 from numsem.irreducible import (
+    _decide_all,
+    _free_tails,
     _full_search,
     _search,
+    _tail_floor,
     children,
     enumerate_irreducibles,
     irreducible_closure,
@@ -95,6 +98,54 @@ class TestSearchOrder:
                     assert list(_search(*args)) == list(two_push_search(*args)), args
                     checked += 1
         assert checked > 150
+
+    @pytest.mark.parametrize("required, top", [((), 71), ((5,), 51), ((11,), 81), ((19,), 91),
+                                                ((13, 17), 91)])
+    def test_the_half_range_tails(self, required, top):
+        """_free_tails against the two-push search, whatever the size of its root's tails.
+
+        For A = {} the first tail holds at least nine positions from F = 57
+        on, so its lower subsets come lazily, each with its list rebuilt.
+        """
+        checked = 0
+        for frob in range(1, top):
+            monoid = Submonoid(required, frob)
+            if frob in monoid:
+                continue
+            mask = monoid.member_mask()
+            avoids = [0]
+            if frob > 3:
+                avoids += [1 << (frob - 3), 3 << (frob - 2)]
+            for last in {(frob - 1) // 2, (frob - 1) // 2 - 2}:
+                for avoid in avoids:
+                    if mask & avoid or last < 0:
+                        continue
+                    args = (mask, frob, last, avoid)
+                    assert list(_free_tails(*args)) == list(two_push_search(*args)), args
+                    checked += 1
+        assert checked > 70
+
+    @pytest.mark.parametrize("forbidden", [(50, 71), (40, 57), (44, 45, 61), (5, 7, 71)])
+    def test_the_half_range_tails_below_a_second_forbidden_value(self, forbidden):
+        """b2 // 2 sets the tail floor past F // 3 where b2, the second highest of B, passes 2F/3."""
+        t, avoid = forbidden[-1], sum(1 << b for b in forbidden)
+        if forbidden[-2] > 2 * t // 3:
+            assert _tail_floor(1, t, avoid) == forbidden[-2] // 2 > t // 3
+        args = (1, t, (t - 1) // 2, avoid)
+        assert list(_free_tails(*args)) == list(two_push_search(*args))
+
+    @pytest.mark.parametrize("required, forbidden, positions", [
+        ((), (23,), 4), ((), (29,), 5), ((), (35,), 6), ((), (45,), 7), ((), (81,), 13),
+        ((), (61, 67), 3), ((), (50, 71), 10), ((), (5, 7, 71), 12), ((19,), (150,), 9),
+        ((5,), (150,), 2), ((12,), (100,), 5), ((13,), (100,), 6)])
+    def test_the_half_range_pick(self, required, forbidden, positions):
+        """_search takes the tail loop when (L, last] at the root holds at least six positions."""
+        t, avoid = forbidden[-1], sum(1 << b for b in forbidden)
+        mask, last = Submonoid(required, t).member_mask(), (t - 1) // 2
+        assert last - _tail_floor(mask, t, avoid) == positions
+        loop = _free_tails if positions >= 6 else _decide_all
+        assert _search(mask, t, last, avoid).__name__ == loop.__name__
+        assert _search(mask, t, t - 1, avoid).__name__ == _decide_all.__name__
 
     def test_the_tails_of_a_large_full_range(self):
         """A = {} at F = 31: most leaves lie in the free tails past F/2.
