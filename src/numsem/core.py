@@ -403,6 +403,12 @@ def _halves(frobenius: int, masks: list[int], stride: int | None = None) -> tupl
     stride above F, and the fill adds every x in (F/2, F) whose mirror
     F - x the bitmap lacks.  The fills are the unchecked chunk, and they
     carry its bit-0 mask and its stride, _stride(F) by default.
+
+    A fill reads its bitmap below F/2 only.  A bitmap that misses F and
+    is closed there holds x above F/2 only if it lacks F - x, so the fill
+    adds x anyway; so a bitmap with the same bits below F/2 and fewer
+    above, as the tails of irreducible._free_tails leave it, has the same
+    fill.
     """
     stride = stride or _stride(frobenius)
     blocks = _blocks(frobenius, masks, stride)

@@ -27,12 +27,16 @@ reach F, two of them and a nonzero member of M pass F, and two of them
 add up to a value strictly between b2 and F.  So the member q is refused
 exactly when b - q is in M for some forbidden b (or F): the test against
 the node's own M, whatever else is chosen there.  Once the next position
-passes L, the leaves below are the closures of M with each subset of the
-free positions, streamed in gap order without a decision (see
-_free_tails).  L rises to (F - k) // 2 when a member k below m is
-pushed, since k becomes the least member.  _search takes that loop when
-the root's range (L, F/2) holds at least six positions; below that the
-tails are too short to pay for their lists.
+passes L, the leaves below are M with each subset of the free positions,
+streamed in gap order without a decision (see _free_tails).  Such a leaf
+is exact on [0, F/2] but not closed: the sums q + y, 2q and p + q that
+its closure would add all pass F/2, and every consumer reads a leaf
+below F/2 only, since a member x above F/2 of a class bottom is in its
+mirror fill anyway (t - x in the bottom would put t there; see
+core._halves and numsem.maxavoid).  L rises to (F - k) // 2 when a
+member k below m is pushed, since k becomes the least member.  _search
+takes that loop when the root's range (L, F/2) holds at least five
+positions; below that the tails are too short to pay for their masks.
 
 The same search over all of [1, F) yields every semigroup with Frobenius
 number F containing A.  The semigroups query calls its own loop for that
@@ -70,6 +74,7 @@ from itertools import product
 
 from . import errors
 from .core import (
+    _BIT_REVERSE,
     NumericalSemigroup,
     _bit_positions,
     _coin_table,
@@ -118,27 +123,30 @@ def irreducible_closure(s: NumericalSemigroup) -> NumericalSemigroup:
 
 
 def _search(mask: int, frobenius: int, last: int, avoid: int):
-    """The bitmaps generated by mask and positions in [1, last] that miss F and avoid, lazily.
+    """The bitmaps over mask that miss F and avoid, exact on [0, last], lazily.
 
-    mask must be closed under addition on [0, F] and miss F and avoid,
-    whose bits lie in [1, F].  The leaves come in gap order from one of
-    two loops, picked by the input.  Let m be the least nonzero member of
-    M and b2 the highest bit of avoid below F.  In the half range (last <
-    F/2), past L = max(F // 3, b2 // 2, (F - m) // 2) a member q is
-    refused only by the early test, b - q in the node's own M, since no
-    sum of three such positions, or of two and a nonzero member, reaches
-    F; L rises when a member below m is pushed (see _free_tails).  So
-    when the root's range
-    (L, last] holds at least six positions, _free_tails streams the tails
-    past L undecided.  Otherwise _decide_all decides every position, in
-    any range.  With fewer than six positions the tails are too short to
-    pay for their lists.
+    Each is mask with positions in [1, last], closed on [0, F] unless
+    _free_tails runs.  mask must be closed under addition on [0, F] and
+    miss F and avoid, whose bits lie in [1, F].  The leaves come in gap
+    order from one of two loops, picked by the input.  Let m be the least
+    nonzero member of M and b2 the highest bit of avoid below F.  In the
+    half range (last < F/2), past L = max(F // 3, b2 // 2, (F - m) // 2)
+    a member q is refused only by the early test, b - q in the node's own
+    M, since no sum of three such positions, or of two and a nonzero
+    member, reaches F; L rises when a member below m is pushed (see
+    _free_tails).  So when the root's range (L, last] holds at least five
+    positions, _free_tails streams the tails past L undecided, as M with
+    each subset of their free positions: its leaves are exact on [0,
+    last] and on [0, F/2], but not closed above F/2, which the half-range
+    consumers never read.  Otherwise _decide_all decides every position,
+    in any range, and its leaves are closed on [0, F].  With fewer than
+    five positions the tails are too short to pay for their masks.
     """
     # Cheap tests first, so that small queries do not pay for L: (L, last]
-    # holds at most last - F // 3 positions, and at most m / 2, so six
-    # need no member in 1..11 (the bits of 0xFFE).
-    if (2 * last < frobenius and last - frobenius // 3 >= 6 and not mask & 0xFFE
-            and last - _tail_floor(mask, frobenius, avoid) >= 6):
+    # holds at most last - F // 3 positions, and at most m / 2, so five
+    # need no member in 1..9 (the bits of 0x3FE).
+    if (2 * last < frobenius and last - frobenius // 3 >= 5 and not mask & 0x3FE
+            and last - _tail_floor(mask, frobenius, avoid) >= 5):
         return _free_tails(mask, frobenius, last, avoid)
     return _decide_all(mask, frobenius, last, avoid)
 
@@ -196,7 +204,7 @@ def _tail_floor(mask: int, frobenius: int, avoid: int) -> int:
 
 
 def _free_tails(mask: int, frobenius: int, last: int, avoid: int):
-    """The leaves of _decide_all(mask, F, last, avoid) for last < F/2, with the free tails undecided.
+    """The leaves of _decide_all(mask, F, last, avoid) for last < F/2 on [0, last], tails undecided.
 
     The tail fact: let m be the least nonzero member of M, b2 the highest
     stop value below F, and L = max(F // 3, b2 // 2, (F - m) // 2) (see
@@ -209,20 +217,38 @@ def _free_tails(mask: int, frobenius: int, last: int, avoid: int):
     is refused exactly when b - q is in M for some stop value b: by the
     early test against the node's own M, whatever else T holds.  So once
     the next undecided position passes L, the leaves below the node are
-    the closures of M and T for every subset T of its free positions, the
-    positions of [k, last] outside M that pass that test.  Each closure
-    step is one shift-or, h | ((h | 1 << q) << q) & full, with no doubling.
+    given by the subsets T of its free positions, the positions of [k,
+    last] outside M that pass that test.
 
-    The node streams them in gap order, as _full_search streams its
-    tails: the list of the highest eight positions, grown from the
-    highest down, for each subset of the lower positions in turn and
-    lazily.  A lower subset changes the closure, so each rebuilds the
-    list.  L is kept on each stack entry, and rises to (F - k) // 2 when
-    a member k below m is pushed; below L, each position is decided as
-    in _decide_all.
+    The leaf of T is M | T itself, not its closure: q + y > (F + m)/2,
+    2q > 2F/3 and p + q > 2F/3 all pass F/2, so the closure adds nothing
+    on [0, F/2], and a leaf here is exact there.  Every consumer reads a
+    half-range leaf below F/2 only: the mirror fill (core._halves) has
+    every bit above F/2 of the closure, since t - x in the bottom would
+    put t there, and the witness test (maxavoid._witness) reads bits b - d
+    below t/2.
+
+    A tail's free positions are one mask on the window [k, last]: the
+    positions outside M, less those refused by some stop value b >= k.
+    Those are the q with b - q in M, the bits of M on [b - last, b - k]
+    read in reverse, which is M << last >> b on the window, bit i for
+    q = last - i, on either side of last.  They are ORed over the stop
+    values and reversed once, by core._BIT_REVERSE for a window of at
+    most eight positions, the common case, and by a reversed binary
+    string past that; the string alone is slower on narrow windows.
+
+    The node streams its leaves in gap order, as _full_search streams
+    its tails: zero or one free position inline, else the list of the
+    highest eight positions, grown from the highest down by h | bit, then
+    each subset of the lower positions in turn and lazily, joined with
+    that list.  The expander is _full_search's, inlined in both loops,
+    since a generator shared by the two costs one call per tail.  L is kept on each stack entry, and rises to (F - k) // 2
+    when a member k below m is pushed; below L, each position is decided
+    as in _decide_all.
     """
     full = (2 << frobenius) - 1
     stop = 1 << frobenius | avoid
+    stops = tuple(_bit_positions(stop))
     stack = [(mask, 1, min(_tail_floor(mask, frobenius, avoid), last))]
     while stack:
         mask, k, limit = stack.pop()
@@ -230,22 +256,36 @@ def _free_tails(mask: int, frobenius: int, last: int, avoid: int):
             free = ~mask >> k  # the least position >= k outside M
             k += (free & -free).bit_length() - 1
             if k > limit:
-                tail = [q for q in range(k, last + 1) if not (mask >> q & 1 or stop >> q & mask)]
-                if len(tail) < 2:  # no free position, or one: the most common tails
+                if k > last:
                     yield mask
-                    for q in tail:
-                        yield mask | ((mask | 1 << q) << q) & full
                     break
-                high = tail[:-9:-1]  # the highest eight, highest first
-                for low in product(*[(0, q) for q in tail[:-8]]) if len(tail) > 8 else [()]:
-                    leaf = mask
-                    for q in low:  # q = 0 adds nothing: bit 0 is set
-                        leaf |= ((leaf | 1 << q) << q) & full
-                    leaves = [leaf]
-                    for q in high:
-                        bit = 1 << q
-                        leaves += [h | ((h | bit) << q) & full for h in leaves]
-                    yield from leaves
+                width, shifted, refused = last - k + 1, mask << last, 0
+                window = (1 << width) - 1
+                for b in stops:  # bit i is set iff b - (last - i) is in M
+                    if b >= k:
+                        refused |= shifted >> b
+                if width <= 8:
+                    refused = _BIT_REVERSE[refused & window] >> (8 - width)
+                else:
+                    refused = int(f"{refused & window:0{width}b}"[::-1], 2)
+                free = (~(mask >> k | refused) & window) << k
+                if not free & (free - 1):  # no free position, or one: the most common tails
+                    yield mask
+                    if free:
+                        yield mask | free
+                    break
+                high = [mask]
+                while free and len(high) < 256:
+                    bit = 1 << (free.bit_length() - 1)
+                    free ^= bit
+                    high += [h | bit for h in high]
+                yield from high
+                if free:  # the lower positions, as in _full_search
+                    lows = product(*[(0, 1 << p) for p in _bit_positions(free)])
+                    next(lows)  # the empty subset: high itself
+                    for low in lows:
+                        base = sum(low)
+                        yield from [base | h for h in high]
                 break
             if not stop >> k & mask:
                 member, step = mask, k

@@ -66,7 +66,12 @@
 # and must print what the decisions printed: maximal -B 50,71 (4,948
 # lines), where b2 = 50 sets L, the root's range (L, 35] holds ten
 # positions, so the lower subsets of its tails come lazily, and the
-# witness test drops 3,162 of its 8,110 tops.
+# witness test drops 3,162 of its 8,110 tops.  Past L the leaves are
+# M with each subset of the free positions, exact on [0, last] and
+# unclosed above t/2, where no consumer reads them; a tail's free
+# positions are one mask, cleared of the refusals of every stop value at
+# once: maximal -B 1,2,...,12,61 (4,645 lines; 13 stop values, twelve
+# of them below every tail, and tail windows wider than eight).
 # About 10 s on a 2-core x86-64 host.
 
 set -e
@@ -119,6 +124,7 @@ test "$(digest irreducibles -F 16)" = b2fb0774de40c27ced0907eed35612a50f37a1752b
 test "$(digest oracle hitting-sets -B 13,14)" = f65293825378802f48dfae5c53e9df5472f6221ff7fa7f4648b705d463052ffe
 test "$(digest solve -B 13,14)" = f65293825378802f48dfae5c53e9df5472f6221ff7fa7f4648b705d463052ffe
 test "$(digest maximal -B 50,71)" = cb773e277eb5d6417cf74cf3c9802b0e0b71008938316f8575a9ab69cc5d5eef
+test "$(digest maximal -B $(seq -s, 1 12),61)" = 953a0e78d1794405751bd629df6dd391cc7851c9547cb6f3dbf355050114ea45
 capped() { bash -c "ulimit -v 400000; PYTHONPATH=src python -m numsem.cli $* | head -n 1" | sha256sum | cut -d' ' -f1; }
 test "$(capped semigroups -F 200)" = c9437705a49dcfc1e0f4724b5a23552cdff29927d6cabd7302bebd6e70f044f8
 test "$(capped irreducibles -F 200)" = 6bea6fe804a848690b658e11d23edb307e7181edb1267e1156045b9e3dfb721b

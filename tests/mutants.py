@@ -48,17 +48,21 @@ ACCEPT, T_CLI, T_CORE, T_MAX, T_IRR = (
     f"tests/test_{name}.py" for name in ("acceptance", "cli", "core", "maxavoid", "irreducible"))
 SEARCH = "_batches(_search(monoid.member_mask(), t, (t - 1) // 2, avoid))"
 PUSH = "\n                    stack.append((member, k + 1))"  # _decide_all's push, not _free_tails'
-LOWS = "product(*[(0, q) for q in tail[:-8]]) if len(tail) > 8 else [()]"
+# The lower subsets of a tail, after the comment that tells the two loops apart.
+LOWS = "\n                    lows = product(*[(0, 1 << p) for p in _bit_positions(free)])\n                    next(lows)"
+FULL_LOWS, TAIL_LOWS = (f"# the lower positions, {note}{LOWS}"
+                        for note in ("lowest first, each without it before with it", "as in _full_search"))
 TAILS = f"{T_IRR}::TestSearchOrder::test_the_half_range_tails"
+PICK = f"{T_IRR}::TestSearchOrder::test_the_half_range_pick"
 
 MUTANTS = (
     Mutant(IRR, f"if not member & stop:{PUSH}", f"if not member & stop and k != 2:{PUSH}",
            "_decide_all refuses every member branch at position 2",
            (f"{ACCEPT}::test_criterion_1_irreducibles_golden",)),
-    Mutant(IRR, "next(lows)  #", "next(lows), next(lows)  #",
+    Mutant(IRR, FULL_LOWS, f"{FULL_LOWS}, next(lows)",
            "_full_search skips the first lower subset of a long free tail",
            (f"{ACCEPT}::TestGenusTree::test_frobenius_slices_match_the_enumerations",)),
-    Mutant(IRR, "yield mask | free", "pass",
+    Mutant(IRR, "yield mask\n                    yield mask | free", "yield mask",
            "_full_search drops the second leaf of a one-position tail",
            (f"{ACCEPT}::test_criterion_2_semigroups_golden",)),
     Mutant(MAX, "return candidates.without(failed) if failed else candidates", "return candidates",
@@ -106,7 +110,7 @@ MUTANTS = (
     Mutant(CLI, "assert frob < 255, frob", "pass",
            "_render adds counts that carry out of their byte",
            (f"{T_CLI}::TestFullWidthRenderer::test_render_asserts_f_below_255",)),
-    Mutant(IRR, f"for low in {LOWS}:", f"for low in [x for i, x in enumerate({LOWS}) if i != 1]:",
+    Mutant(IRR, TAIL_LOWS, f"{TAIL_LOWS}, next(lows)",
            "_free_tails skips the first nonempty lower subset of a tail past eight positions",
            (f"{TAILS}[required0-71]",)),
     Mutant(IRR, "below // 2, ", "",
@@ -115,9 +119,21 @@ MUTANTS = (
     Mutant(IRR, "limit if limit >= raised else min(raised, last)", "limit",
            "_free_tails keeps L when it pushes a member below m",
            (f"{TAILS}[required0-71]",)),
-    Mutant(IRR, "not mask & 0xFFE", "not mask & 0x3FFE",
+    Mutant(IRR, "not mask & 0x3FE", "not mask & 0x33FE",
            "_search's cheap test also rules the tail loop out when the least member is 12 or 13",
-           (f"{T_IRR}::TestSearchOrder::test_the_half_range_pick[required11-forbidden11-6]",)),
+           (f"{PICK}[required11-forbidden11-6]",)),
+    Mutant(IRR, "not mask & 0x3FE", "not mask & 0xFFE",
+           "_search's cheap test also rules the tail loop out when the least member is 10 or 11",
+           (f"{PICK}[required12-forbidden12-5]",)),
+    Mutant(IRR, "for b in stops:", "for b in stops[:-1]:",
+           "_free_tails leaves F out of a tail's refusals, so a tail streams q with F - q in M",
+           (f"{TAILS}[required0-71]",)),
+    Mutant(IRR, ">> (8 - width)", ">> (7 - width)",
+           "_free_tails reverses a narrow tail's refusals one position off",
+           (f"{TAILS}[required0-71]",)),
+    Mutant(IRR, '{width}b}"[::-1], 2)', '{width}b}", 2)',
+           "_free_tails leaves a tail's refusals unreversed past eight positions",
+           (f"{TAILS}[required0-71]",)),
     Mutant(CLI, "low = (frobenius + 2) // 2", "low = 0",
            "_genus_table holds text for a genus no semigroup with that F has",
            (f"{T_CLI}::TestRenderTables::test_render_refuses_a_genus_no_semigroup_has",)),

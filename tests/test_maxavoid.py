@@ -24,7 +24,7 @@ from numsem.core import (
     gap_key,
 )
 from numsem.classes import enumerate_with_frobenius
-from numsem.irreducible import _search, enumerate_irreducibles
+from numsem.irreducible import _decide_all, _search, enumerate_irreducibles
 from numsem.maxavoid import (
     _avoider_chunks,
     _pareto_minimal_coords,
@@ -118,20 +118,25 @@ def packed_masks(required, forbidden):
     return [m for leaves in chunks for m in _unpack(leaves.members, leaves.count, leaves.stride)]
 
 
+def small_queries():
+    """The feasible queries with |A| <= 2 in [2, 12] and |B| <= 3 in [1, 24]: 48,990 of them."""
+    for size in (0, 1, 2):
+        for required in itertools.combinations(range(2, 13), size):
+            monoid = Submonoid(required, 24)
+            for size_b in (1, 2, 3):
+                for forbidden in itertools.combinations(range(1, 25), size_b):
+                    if not any(b in monoid for b in forbidden):
+                        yield required, forbidden
+
+
 class TestPackedWitnessTest:
     def test_matches_the_per_leaf_test_on_small_inputs(self):
         checked = rejected = 0
-        for size in (0, 1, 2):
-            for required in itertools.combinations(range(2, 13), size):
-                monoid = Submonoid(required, 24)
-                for size_b in (1, 2, 3):
-                    for forbidden in itertools.combinations(range(1, 25), size_b):
-                        if any(b in monoid for b in forbidden):
-                            continue
-                        bottoms, expected = reference_masks(required, forbidden)
-                        assert packed_masks(required, forbidden) == expected, (required, forbidden)
-                        checked += 1
-                        rejected += len(bottoms) - len(expected)
+        for required, forbidden in small_queries():
+            bottoms, expected = reference_masks(required, forbidden)
+            assert packed_masks(required, forbidden) == expected, (required, forbidden)
+            checked += 1
+            rejected += len(bottoms) - len(expected)
         assert checked == 48_990 and rejected > 0
 
     def test_matches_the_per_leaf_test_across_chunks(self):
@@ -158,6 +163,38 @@ class TestPackedWitnessTest:
         monkeypatch.setattr(numsem.maxavoid, "_search", lambda *args: iter(mixed))
         assert packed_masks(required, forbidden) == list(
             per_leaf_candidates(monoid, 43, avoid, mixed))
+
+
+class TestReadBelowHalf:
+    """The consumers of a class bottom read its bits below t/2 only.
+
+    A bit x above t/2 of a bottom is in its mirror fill anyway, since
+    t - x would put t in the bottom, and the witness test reads bits
+    b - d < t/2.  So a bottom cleared above (t - 1) // 2, as the plain
+    tails of irreducible._free_tails leave it unclosed there, gives the
+    same tops, the same kept candidates at the query's stride, and the
+    same per-leaf candidates as the closed one.
+    """
+
+    @staticmethod
+    def check(required, forbidden, monkeypatch):
+        monoid = _coin_table(required, forbidden)
+        t, avoid = max(forbidden), sum(1 << b for b in forbidden)
+        closed = list(_decide_all(monoid.member_mask(), t, (t - 1) // 2, avoid))
+        cleared = [bottom & ((2 << (t - 1) // 2) - 1) for bottom in closed]
+        assert _halves(t, cleared)[2].members == _halves(t, closed)[2].members
+        expected = list(per_leaf_candidates(monoid, t, avoid, closed))
+        assert list(per_leaf_candidates(monoid, t, avoid, cleared)) == expected
+        for bottoms in (closed, cleared):
+            monkeypatch.setattr(numsem.maxavoid, "_search", lambda *args: iter(bottoms))
+            assert packed_masks(required, forbidden) == expected, (required, forbidden)
+        return sum(a != b for a, b in zip(closed, cleared))
+
+    def test_on_small_inputs(self, monkeypatch):
+        assert sum(self.check(*query, monkeypatch) for query in small_queries()) > 0
+
+    def test_across_chunks(self, monkeypatch):
+        assert self.check((), (61, 67), monkeypatch) > 0
 
 
 class TestStrideFloor:
