@@ -407,8 +407,8 @@ def _halves(frobenius: int, masks: list[int], stride: int | None = None) -> tupl
     A fill reads its bitmap below F/2 only.  A bitmap that misses F and
     is closed there holds x above F/2 only if it lacks F - x, so the fill
     adds x anyway; so a bitmap with the same bits below F/2 and fewer
-    above, as the tails of irreducible._free_tails leave it, has the same
-    fill.
+    above, as the free tails of irreducible._search leave it, has the
+    same fill.
     """
     stride = stride or _stride(frobenius)
     blocks = _blocks(frobenius, masks, stride)

@@ -28,15 +28,17 @@ add up to a value strictly between b2 and F.  So the member q is refused
 exactly when b - q is in M for some forbidden b (or F): the test against
 the node's own M, whatever else is chosen there.  Once the next position
 passes L, the leaves below are M with each subset of the free positions,
-streamed in gap order without a decision (see _free_tails).  Such a leaf
+streamed in gap order without a decision (see _search).  Such a leaf
 is exact on [0, F/2] but not closed: the sums q + y, 2q and p + q that
 its closure would add all pass F/2, and every consumer reads a leaf
 below F/2 only, since a member x above F/2 of a class bottom is in its
 mirror fill anyway (t - x in the bottom would put t there; see
 core._halves and numsem.maxavoid).  L rises to (F - k) // 2 when a
-member k below m is pushed, since k becomes the least member.  _search
-takes that loop when the root's range (L, F/2) holds at least five
-positions; below that the tails are too short to pay for their masks.
+member k below m is pushed, since k becomes the least member.  The pick
+(_tail_pick) sets the root's limit: L when the root's range (L, F/2)
+holds at least five positions, and the last position below F/2
+otherwise, so that no tail starts; below five positions the tails are
+too short to pay for their masks.
 
 The same search over all of [1, F) yields every semigroup with Frobenius
 number F containing A.  The semigroups query calls its own loop for that
@@ -122,77 +124,8 @@ def irreducible_closure(s: NumericalSemigroup) -> NumericalSemigroup:
     return NumericalSemigroup(s.frobenius, _halves(s.frobenius, [s.member_mask()])[2].members)
 
 
-def _search(mask: int, frobenius: int, last: int, avoid: int):
-    """The bitmaps over mask that miss F and avoid, exact on [0, last], lazily.
-
-    Each is mask with positions in [1, last], closed on [0, F] unless
-    _free_tails runs.  mask must be closed under addition on [0, F] and
-    miss F and avoid, whose bits lie in [1, F].  The leaves come in gap
-    order from one of two loops, picked by the input.  Let m be the least
-    nonzero member of M and b2 the highest bit of avoid below F.  In the
-    half range (last < F/2), past L = max(F // 3, b2 // 2, (F - m) // 2)
-    a member q is refused only by the early test, b - q in the node's own
-    M, since no sum of three such positions, or of two and a nonzero
-    member, reaches F; L rises when a member below m is pushed (see
-    _free_tails).  So when the root's range (L, last] holds at least five
-    positions, _free_tails streams the tails past L undecided, as M with
-    each subset of their free positions: its leaves are exact on [0,
-    last] and on [0, F/2], but not closed above F/2, which the half-range
-    consumers never read.  Otherwise _decide_all decides every position,
-    in any range, and its leaves are closed on [0, F].  With fewer than
-    five positions the tails are too short to pay for their masks.
-    """
-    # Cheap tests first, so that small queries do not pay for L: (L, last]
-    # holds at most last - F // 3 positions, and at most m / 2, so five
-    # need no member in 1..9 (the bits of 0x3FE).
-    if (2 * last < frobenius and last - frobenius // 3 >= 5 and not mask & 0x3FE
-            and last - _tail_floor(mask, frobenius, avoid) >= 5):
-        return _free_tails(mask, frobenius, last, avoid)
-    return _decide_all(mask, frobenius, last, avoid)
-
-
-def _decide_all(mask: int, frobenius: int, last: int, avoid: int):
-    """The leaves of _search, with every position in [1, last] decided in turn.
-
-    Positions 1, ..., last are decided in ascending order, gap before
-    member, so the leaves are distinct on [1, last] and come out in gap
-    order by construction.  Adding k closes M by shift-or doubling.  The
-    member branch is taken only when the closed bitmap misses F and
-    every bit of avoid; the gap branch always is, so every path ends in a
-    leaf.  The member branch is refused before its doubling when b - k is
-    in M for some stop value b (F or a bit of avoid), since M + k then
-    holds b; the test after the doubling refuses the rest, where b - jk
-    is in M only for some j >= 2, or M itself holds b.  Only member
-    branches are pushed: the gap branch is walked in place, and since
-    every branch pushed below it is popped after it, the order is depth
-    first, gap before member, as if both were pushed.  Every position is
-    decided in turn, so the loop is correct for any range; the full
-    range [1, F) of semigroups has its own loop, _full_search.
-    """
-    full = (2 << frobenius) - 1
-    stop = 1 << frobenius | avoid
-    stack = [(mask, 1)]
-    while stack:
-        mask, k = stack.pop()
-        while True:
-            free = ~mask >> k  # the least position >= k outside M
-            k += (free & -free).bit_length() - 1
-            if k > last:
-                yield mask
-                break
-            if not stop >> k & mask:  # else b - k is in M for some b, and M + k holds b
-                # core._add_generator(mask, k, frobenius), inlined.
-                member, step = mask, k
-                while step <= frobenius:
-                    member |= (member << step) & full
-                    step *= 2
-                if not member & stop:
-                    stack.append((member, k + 1))
-            k += 1
-
-
 def _tail_floor(mask: int, frobenius: int, avoid: int) -> int:
-    """L = max(F // 3, b2 // 2, (F - m) // 2), where the free tails of _free_tails start.
+    """L = max(F // 3, b2 // 2, (F - m) // 2), where the free tails of _search start.
 
     m is the least nonzero member of mask, and b2 the highest bit of
     avoid below F; a term is dropped when there is no such m or b2.
@@ -203,22 +136,63 @@ def _tail_floor(mask: int, frobenius: int, avoid: int) -> int:
     return max(frobenius // 3, below // 2, (frobenius - least) // 2)
 
 
-def _free_tails(mask: int, frobenius: int, last: int, avoid: int):
-    """The leaves of _decide_all(mask, F, last, avoid) for last < F/2 on [0, last], tails undecided.
+def _tail_pick(mask: int, frobenius: int, last: int, avoid: int) -> int:
+    """The root's limit in _search: L when (L, last] holds five positions or more, else last.
+
+    Only a half range (last < F/2) has free tails.  With fewer than five
+    positions at the root, the tails are too short to pay for their
+    masks.
+    """
+    # Cheap tests first, so that small queries do not pay for L: (L, last]
+    # holds at most last - F // 3 positions, and at most m / 2, so five
+    # need no member in 1..9 (the bits of 0x3FE).
+    if 2 * last < frobenius and last - frobenius // 3 >= 5 and not mask & 0x3FE:
+        floor = _tail_floor(mask, frobenius, avoid)
+        return floor if last - floor >= 5 else last
+    return last
+
+
+def _search(mask: int, frobenius: int, last: int, avoid: int):
+    """The bitmaps over mask that miss F and avoid, exact on [0, last], lazily.
+
+    mask must be closed under addition on [0, F] and miss F and avoid,
+    whose bits lie in [1, F].  Positions 1, ..., last are decided in
+    ascending order, gap before member, so the leaves are distinct on
+    [1, last] and come out in gap order by construction.  Adding k closes
+    M by shift-or doubling.  The member branch is taken only when the
+    closed bitmap misses F and every bit of avoid; the gap branch always
+    is, so every path ends in a leaf.  The member branch is refused
+    before its doubling when b - k is in M for some stop value b (F or a
+    bit of avoid), since M + k then holds b; the test after the doubling
+    refuses the rest, where b - jk is in M only for some j >= 2, or M
+    itself holds b.  Only member branches are pushed: the gap branch is
+    walked in place, and since every branch pushed below it is popped
+    after it, the order is depth first, gap before member, as if both
+    were pushed.  The full range [1, F) of semigroups has its own loop,
+    _full_search.
+
+    Each stack entry carries a limit: past it, the positions are not
+    decided but streamed as free tails.  The root's limit is L when
+    _tail_pick takes the tails, and last otherwise.  A push keeps the
+    limit or raises it to (F - k) // 2, at most last, so a limit of last
+    stays last, every position is decided, in any range, and the leaves
+    are closed on [0, F].
 
     The tail fact: let m be the least nonzero member of M, b2 the highest
     stop value below F, and L = max(F // 3, b2 // 2, (F - m) // 2) (see
-    _tail_floor).  A set T of positions in (L, last] has 3q > F, 2q > F - m
-    and 2q > b2 for each q in T, so M joined with T gains only q and 2q,
-    q + y for y in M, and p + q for p in T: no three positions of T reach
-    F, and p + q + y passes F for every nonzero y in M.  None of them is
-    a position below last but q itself, so T fills no other position.  And
-    2q and p + q lie strictly between b2 and F, so the member branch of q
-    is refused exactly when b - q is in M for some stop value b: by the
-    early test against the node's own M, whatever else T holds.  So once
-    the next undecided position passes L, the leaves below the node are
-    given by the subsets T of its free positions, the positions of [k,
-    last] outside M that pass that test.
+    _tail_floor).  A set T of positions in (L, last] has 3q > F,
+    2q > F - m and 2q > b2 for each q in T, so M joined with T gains only
+    q and 2q, q + y for y in M, and p + q for p in T: no three positions
+    of T reach F, and p + q + y passes F for every nonzero y in M.  None
+    of them is a position below last but q itself, so T fills no other
+    position.  And 2q and p + q lie strictly between b2 and F, so the
+    member branch of q is refused exactly when b - q is in M for some
+    stop value b: by the early test against the node's own M, whatever
+    else T holds.  So once the next undecided position passes L, the
+    leaves below the node are given by the subsets T of its free
+    positions, the positions of [k, last] outside M that pass that test.
+    L rises to (F - k) // 2 when a member k below m is pushed, since k
+    becomes the least member.
 
     The leaf of T is M | T itself, not its closure: q + y > (F + m)/2,
     2q > 2F/3 and p + q > 2F/3 all pass F/2, so the closure adds nothing
@@ -242,14 +216,13 @@ def _free_tails(mask: int, frobenius: int, last: int, avoid: int):
     highest eight positions, grown from the highest down by h | bit, then
     each subset of the lower positions in turn and lazily, joined with
     that list.  The expander is _full_search's, inlined in both loops,
-    since a generator shared by the two costs one call per tail.  L is kept on each stack entry, and rises to (F - k) // 2
-    when a member k below m is pushed; below L, each position is decided
-    as in _decide_all.
+    since a generator shared by the two costs one call per tail.
     """
     full = (2 << frobenius) - 1
     stop = 1 << frobenius | avoid
-    stops = tuple(_bit_positions(stop))
-    stack = [(mask, 1, min(_tail_floor(mask, frobenius, avoid), last))]
+    limit = _tail_pick(mask, frobenius, last, avoid)
+    stops = tuple(_bit_positions(stop)) if limit < last else ()  # read by the tails only
+    stack = [(mask, 1, limit)]
     while stack:
         mask, k, limit = stack.pop()
         while True:
@@ -287,7 +260,8 @@ def _free_tails(mask: int, frobenius: int, last: int, avoid: int):
                         base = sum(low)
                         yield from [base | h for h in high]
                 break
-            if not stop >> k & mask:
+            if not stop >> k & mask:  # else b - k is in M for some b, and M + k holds b
+                # core._add_generator(mask, k, frobenius), inlined.
                 member, step = mask, k
                 while step <= frobenius:
                     member |= (member << step) & full

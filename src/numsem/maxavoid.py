@@ -20,9 +20,10 @@ the mirror fill of it.  No class whose bottom meets B has a candidate,
 and a bottom only grows along a search path, so the search drops a
 member branch as soon as it meets B.  One search yields every candidate.
 Only the bottom's members below t/2 are read, so the search may leave a
-leaf unclosed above t/2: a member x above t/2 is in the fill anyway,
-since t - x in the bottom would put t there, and the witness test reads
-b - d < t/2 (see _witness).
+leaf unclosed above t/2, as its free tails do (see irreducible._search):
+a member x above t/2 is in the fill anyway, since t - x in the bottom
+would put t there, and the witness test reads b - d < t/2 (see
+_witness).
 
 A candidate S is maximal iff adding any gap g generates some b in B,
 that is, iff the monoid <S, g> meets B.  Every b is at most t, and
@@ -216,7 +217,7 @@ def _witness(forbidden: tuple[int, ...], bottoms: int, mirror: int, tops: _Leave
     the failed blocks (see core._Leaves.without).
 
     The bottoms are read below t/2 only, so a bottom left unclosed above
-    t/2 (see irreducible._free_tails) gives the same result.  A d of D
+    t/2 (see irreducible._search) gives the same result.  A d of D
     lies above t/2, so b - d < t/2.  And "& ~bottoms" drops no d that
     matters: a member c above t/2 of the closed bottom is outside its
     down-set, since b - c in the bottom would put b there.

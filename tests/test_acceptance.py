@@ -6,7 +6,8 @@ pin the worked golden examples, 5-7 run exhaustive differential grids
 against the brute-force oracle, 8 re-checks the structural laws on every
 semigroup the other suites produce, and 9 anchors the partition counter.
 TestGenusTree reaches past the oracle's caps with an independent walk of
-the tree of numerical semigroups.
+the tree of numerical semigroups, and TestClassCount past every
+enumeration with a count of each class.
 """
 
 import random
@@ -16,7 +17,7 @@ from itertools import combinations
 import pytest
 
 from numsem import errors
-from numsem.classes import enumerate_with_frobenius, frobenius_class, trace_family
+from numsem.classes import class_minimum, enumerate_with_frobenius, frobenius_class, trace_family
 from numsem.core import (
     NumericalSemigroup,
     Submonoid,
@@ -362,3 +363,47 @@ class TestGenusTree:
                 assert sorted(s.member_mask() for s in found) == tops, (b1, b2)
                 gaps = sorted(tuple(x for x in range(b2 + 1) if not m >> x & 1) for m in tops)
                 assert solve(required, (b1, b2)) == gaps, (b1, b2)
+
+
+def class_count(required, frobenius: int) -> int:
+    """The number of semigroups with Frobenius number F containing A, summed over the classes.
+
+    The classes partition them (see numsem.classes), and a class is
+    bottom | T for the up-sets T of D = top \\ bottom, under d <= e iff
+    e - d is in bottom, so e >= d.  With x the least element of U, an
+    up-set of U either misses x, and is one of U \\ {x}, or holds
+    up(x) = {e in U : e - x in bottom}, and the rest is one of U \\ up(x).
+    So count(U) = count(U \\ {x}) + count(U \\ up(x)), memoized per class.
+    """
+    ctx = make_context(required, frobenius)
+    total = 0
+    for top in enumerate_irreducibles(required, frobenius):
+        bottom = class_minimum(top, ctx).member_mask()
+        memo = {0: 1}
+
+        def count(rest):
+            if rest not in memo:
+                x = (rest & -rest).bit_length() - 1
+                memo[rest] = count(rest & (rest - 1)) + count(rest & ~(bottom << x))
+            return memo[rest]
+
+        total += count(top.member_mask() & ~bottom)
+    return total
+
+
+class TestClassCount:
+    @pytest.mark.parametrize("required, frobenius_max", [((), 26), ((4,), 26), ((5, 7), 23)])
+    def test_equals_the_enumeration(self, required, frobenius_max):
+        for frobenius in range(1, frobenius_max + 1):
+            if feasible(required, frobenius):
+                found = enumerate_with_frobenius(required, frobenius)
+                assert class_count(required, frobenius) == len(found), frobenius
+
+    def test_equals_the_enumeration_with_free_tails(self):
+        """A = {} at F = 35: the half-range search streams free tails, 292,081 semigroups."""
+        assert class_count((), 35) == len(enumerate_with_frobenius((), 35)) == 292_081
+
+    @pytest.mark.parametrize("required, frobenius, total", [((), 60, 1_269_765_591),
+                                                            ((11,), 120, 45_853_063)])
+    def test_past_the_enumeration(self, required, frobenius, total):
+        assert class_count(required, frobenius) == total

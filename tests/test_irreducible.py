@@ -11,17 +11,15 @@ from numsem.core import (
     FULL_SEMIGROUP,
     NumericalSemigroup,
     Submonoid,
-    _add_generator,
     _halves,
     contains_genset,
     gap_key,
 )
 from numsem.irreducible import (
-    _decide_all,
-    _free_tails,
     _full_search,
     _search,
     _tail_floor,
+    _tail_pick,
     children,
     enumerate_irreducibles,
     irreducible_closure,
@@ -32,6 +30,7 @@ from numsem.irreducible import (
     root_irreducible,
 )
 from numsem.oracle import irreducibles_bruteforce
+from search_reference import two_push_search
 
 sg = NumericalSemigroup.from_generators
 
@@ -47,30 +46,13 @@ def tree_walk(ctx):
     return sorted(nodes, key=gap_key)
 
 
-def two_push_search(mask, frobenius, last, avoid=0):
-    """Reference: the prefix search that pushes both branches of every node, gap on top."""
-    stop = 1 << frobenius | avoid
-    stack = [(mask, 1)]
-    while stack:
-        mask, k = stack.pop()
-        free = ~mask >> k
-        k += (free & -free).bit_length() - 1
-        if k > last:
-            yield mask
-            continue
-        member = _add_generator(mask, k, frobenius)
-        if not member & stop:
-            stack.append((member, k + 1))
-        stack.append((mask, k + 1))
-
-
 def assert_half_range_leaves(leaves, args):
-    """The leaves of the tail loop against the two-push search, leaf by leaf in order.
+    """Leaves with free tails against the two-push search, leaf by leaf in order.
 
-    A leaf of _free_tails is M with a subset of its tail, unclosed above
-    F/2: it equals the reference leaf on [0, last], lies inside it, and
-    gives the same mirror fill.  A block's fill does not depend on the
-    stride, which is above F at every query, so the default one is used.
+    A leaf of a tail is M with a subset of the tail, unclosed above F/2:
+    it equals the reference leaf on [0, last], lies inside it, and gives
+    the same mirror fill.  A block's fill does not depend on the stride,
+    which is above F at every query, so the default one is used.
     """
     frob, last = args[1], args[2]
     reference = list(two_push_search(*args))
@@ -81,12 +63,14 @@ def assert_half_range_leaves(leaves, args):
 
 
 def assert_search_leaves(args):
-    """_search against the two-push search: the tail loop's leaves as above, the others equal."""
-    leaves = _search(*args)
-    if leaves.__name__ == _free_tails.__name__:
-        assert_half_range_leaves(list(leaves), args)
+    """_search against the two-push search: with free tails as above, else equal.
+
+    The root has free tails when the pick's limit is below last.
+    """
+    if _tail_pick(*args) < args[2]:
+        assert_half_range_leaves(list(_search(*args)), args)
     else:
-        assert list(leaves) == list(two_push_search(*args)), args
+        assert list(_search(*args)) == list(two_push_search(*args)), args
 
 
 class TestSearchOrder:
@@ -112,7 +96,7 @@ class TestSearchOrder:
 
     @pytest.mark.parametrize("required", [(), (2,), (5,), (7, 9)])
     def test_every_range_that_reaches_half(self, required):
-        """last from F/2 to F - 1: the plain loop decides every position, past F/2 too."""
+        """last from F/2 to F - 1: the search decides every position, past F/2 too."""
         checked = 0
         for frob in range(1, 25):
             monoid = Submonoid(required, frob)
@@ -128,7 +112,7 @@ class TestSearchOrder:
     @pytest.mark.parametrize("required, top", [((), 71), ((5,), 51), ((11,), 81), ((19,), 91),
                                                 ((13, 17), 91)])
     def test_the_half_range_tails(self, required, top):
-        """_free_tails against the two-push search, whatever the size of its root's tails.
+        """_search against the two-push search, with and without free tails at its root.
 
         For A = {} the first tail holds at least nine positions from F = 57
         on, so its lower subsets come lazily, each with its list rebuilt.
@@ -147,7 +131,7 @@ class TestSearchOrder:
                     if mask & avoid or last < 0:
                         continue
                     args = (mask, frob, last, avoid)
-                    assert_half_range_leaves(list(_free_tails(*args)), args)
+                    assert_search_leaves(args)
                     checked += 1
         assert checked > 70
 
@@ -158,7 +142,8 @@ class TestSearchOrder:
         if forbidden[-2] > 2 * t // 3:
             assert _tail_floor(1, t, avoid) == forbidden[-2] // 2 > t // 3
         args = (1, t, (t - 1) // 2, avoid)
-        assert_half_range_leaves(list(_free_tails(*args)), args)
+        assert _tail_pick(*args) == _tail_floor(1, t, avoid)
+        assert_half_range_leaves(list(_search(*args)), args)
 
     @pytest.mark.parametrize("required, forbidden, positions", [
         ((), (23,), 4), ((), (29,), 5), ((), (35,), 6), ((), (45,), 7), ((), (81,), 13),
@@ -166,17 +151,19 @@ class TestSearchOrder:
         ((5,), (150,), 2), ((12,), (100,), 5), ((13,), (100,), 6), ((10,), (101,), 5),
         ((9,), (101,), 4), ((11,), (100,), 5), ((10,), (100,), 4)])
     def test_the_half_range_pick(self, required, forbidden, positions):
-        """_search takes the tail loop when (L, last] at the root holds at least five positions.
+        """The root's limit is L when (L, last] holds at least five positions, else last.
 
         A least member of 10 or more passes the cheap test, and 9 or less
-        leaves at most four positions.
+        leaves at most four positions.  A range that reaches F/2 has no
+        free tails.
         """
         t, avoid = forbidden[-1], sum(1 << b for b in forbidden)
         mask, last = Submonoid(required, t).member_mask(), (t - 1) // 2
-        assert last - _tail_floor(mask, t, avoid) == positions
-        loop = _free_tails if positions >= 5 else _decide_all
-        assert _search(mask, t, last, avoid).__name__ == loop.__name__
-        assert _search(mask, t, t - 1, avoid).__name__ == _decide_all.__name__
+        floor = _tail_floor(mask, t, avoid)
+        assert last - floor == positions
+        assert _tail_pick(mask, t, last, avoid) == (floor if positions >= 5 else last)
+        for high in {(t + 1) // 2, t - 1}:
+            assert _tail_pick(mask, t, high, avoid) == high
 
     def test_the_tails_of_a_large_full_range(self):
         """A = {} at F = 31: most leaves lie in the free tails past F/2.

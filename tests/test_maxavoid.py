@@ -24,7 +24,7 @@ from numsem.core import (
     gap_key,
 )
 from numsem.classes import enumerate_with_frobenius
-from numsem.irreducible import _decide_all, _search, enumerate_irreducibles
+from numsem.irreducible import _search, enumerate_irreducibles
 from numsem.maxavoid import (
     _avoider_chunks,
     _pareto_minimal_coords,
@@ -35,6 +35,7 @@ from numsem.maxavoid import (
     pareto_minimal,
 )
 from numsem.oracle import all_semigroups_with_frobenius
+from search_reference import two_push_search
 
 sg = NumericalSemigroup.from_generators
 
@@ -170,17 +171,18 @@ class TestReadBelowHalf:
 
     A bit x above t/2 of a bottom is in its mirror fill anyway, since
     t - x would put t in the bottom, and the witness test reads bits
-    b - d < t/2.  So a bottom cleared above (t - 1) // 2, as the plain
-    tails of irreducible._free_tails leave it unclosed there, gives the
-    same tops, the same kept candidates at the query's stride, and the
-    same per-leaf candidates as the closed one.
+    b - d < t/2.  So a bottom cleared above (t - 1) // 2, as the free
+    tails of irreducible._search leave it unclosed there, gives the same
+    tops, the same kept candidates at the query's stride, and the same
+    per-leaf candidates as the closed one, which the reference search
+    gives.
     """
 
     @staticmethod
     def check(required, forbidden, monkeypatch):
         monoid = _coin_table(required, forbidden)
         t, avoid = max(forbidden), sum(1 << b for b in forbidden)
-        closed = list(_decide_all(monoid.member_mask(), t, (t - 1) // 2, avoid))
+        closed = list(two_push_search(monoid.member_mask(), t, (t - 1) // 2, avoid))
         cleared = [bottom & ((2 << (t - 1) // 2) - 1) for bottom in closed]
         assert _halves(t, cleared)[2].members == _halves(t, closed)[2].members
         expected = list(per_leaf_candidates(monoid, t, avoid, closed))
