@@ -47,7 +47,7 @@ from .core import (
     contains_genset,
     gap_key,
 )
-from .irreducible import IrreducibleContext, _full_search
+from .irreducible import IrreducibleContext, _search
 
 MAX_REMOVABLE = 30
 
@@ -147,17 +147,20 @@ def frobenius_class(s: NumericalSemigroup, ctx: IrreducibleContext) -> Frobenius
 def _semigroup_chunks(required, frobenius: int):
     """The checked chunks (see core._leaf_chunks) of the leaves of the prefix search over [1, F).
 
-    The search starts from the coin table of the required set on [0, F],
-    which raises Infeasible when it holds F.  Feasibility is checked at
-    the call, not on the first chunk.  Every leaf holds A, so its
-    multiplicity is at most min(A), and the chunks take the stride of
-    that bound (see core._stride).
+    It is the search of the irreducibles and the avoiders, run to the
+    last position F - 1 with F the only stop value: there its leaves are
+    closed, and they are the semigroups themselves (see
+    irreducible._search).  The search starts from the coin table of the
+    required set on [0, F], which raises Infeasible when it holds F.
+    Feasibility is checked at the call, not on the first chunk.  Every
+    leaf holds A, so its multiplicity is at most min(A), and the chunks
+    take the stride of that bound (see core._stride).
     """
     if frobenius < 1:
         raise ValueError("the Frobenius number must be positive")
     monoid = _coin_table(required, (frobenius,))
     stride = _stride(frobenius, min((*monoid.generators, frobenius + 1)))
-    return _leaf_chunks(frobenius, _full_search(monoid.member_mask(), frobenius), stride)
+    return _leaf_chunks(frobenius, _search(monoid.member_mask(), frobenius, frobenius - 1, 0), stride)
 
 
 def enumerate_with_frobenius(required, frobenius: int) -> list[NumericalSemigroup]:

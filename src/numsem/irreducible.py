@@ -19,20 +19,25 @@ Read and Tarjan, Networks 5, 1975).  Each leaf M becomes an irreducible
 by the mirror fill, which adds every x in (F/2, F) with F - x outside M.
 Leaves come out in gap order by construction.
 
+Beside M the search carries R, the positions k with b - k in M for some
+stop value b: F, or one of the forbidden values of numsem.maxavoid.  The
+member k would put b into M, so k is a gap in every leaf below and is
+walked past like a member; and a member branch holds a stop value iff
+bit 0 of R is set once R has grown with M.
+
 Near F/2 the decisions need not be made.  Let m be the least nonzero
-member of M, b2 the highest forbidden value below F (the avoid sets of
-numsem.maxavoid), and L = max(F // 3, b2 // 2, (F - m) // 2).  Positions
-q in (L, F/2) have 3q > F, 2q > b2 and 2q > F - m, so no three of them
-reach F, two of them and a nonzero member of M pass F, and two of them
-add up to a value strictly between b2 and F.  So the member q is refused
-exactly when b - q is in M for some forbidden b (or F): the test against
-the node's own M, whatever else is chosen there.  Once the next position
-passes L, the leaves below are M with each subset of the free positions,
-streamed in gap order without a decision (see _search).  Such a leaf
-is exact on [0, F/2] but not closed: the sums q + y, 2q and p + q that
-its closure would add all pass F/2, and every consumer reads a leaf
-below F/2 only, since a member x above F/2 of a class bottom is in its
-mirror fill anyway (t - x in the bottom would put t there; see
+member of M, b2 the highest forbidden value below F, and L = max(F // 3,
+b2 // 2, (F - m) // 2).  Positions q in (L, F/2) have 3q > F, 2q > b2
+and 2q > F - m, so no three of them reach F, two of them and a nonzero
+member of M pass F, and two of them add up to a value strictly between
+b2 and F.  So the member q is refused exactly when q is in R, the node's
+own, whatever else is chosen there.  Once the next position passes L,
+the leaves below are M with each subset of the free positions, those
+outside M | R, streamed in gap order without a decision (see _search).
+Such a leaf is exact on [0, F/2] but not closed: the sums q + y, 2q and
+p + q that its closure would add all pass F/2, and every consumer reads
+a leaf below F/2 only, since a member x above F/2 of a class bottom is
+in its mirror fill anyway (t - x in the bottom would put t there; see
 core._halves and numsem.maxavoid).  L rises to (F - k) // 2 when a
 member k below m is pushed, since k becomes the least member.  The pick
 (_tail_pick) sets the root's limit: L when the root's range (L, F/2)
@@ -41,13 +46,13 @@ otherwise, so that no tail starts; below five positions the tails are
 too short to pay for their masks.
 
 The same search over all of [1, F) yields every semigroup with Frobenius
-number F containing A.  The semigroups query calls its own loop for that
-range (see _full_search), which uses the same reflection: it carries,
-beside M, the positions k with F - k in M, which are gaps in every leaf
-below, and walks past them.  And with m the least nonzero member of M, a
-free position p above both F/2 and F - m adds only p, since 2p and p + m
-pass F; so once every free position lies past both, the leaves below are
-M with each subset of them, streamed without a further decision.
+number F containing A: the semigroups query.  With F the only stop
+value, R is the reflection of M about F, the x <-> F - x symmetry above.
+A free position p above both F/2 and F - m adds only p, since 2p and
+p + m pass F, and its member branch is refused exactly when p is in R.
+So past max(F - m, F // 2) the leaves below a node are M with each
+subset of the positions outside M | R, streamed as the half range
+streams its tails, and closed.
 
 The same family carries a rooted tree structure, kept as the reference
 the tests compare against.  The root is the irreducible closure of
@@ -137,16 +142,22 @@ def _tail_floor(mask: int, frobenius: int, avoid: int) -> int:
 
 
 def _tail_pick(mask: int, frobenius: int, last: int, avoid: int) -> int:
-    """The root's limit in _search: L when (L, last] holds five positions or more, else last.
+    """The root's limit in _search, past which its positions are streamed as free tails.
 
-    Only a half range (last < F/2) has free tails.  With fewer than five
-    positions at the root, the tails are too short to pay for their
-    masks.
+    A range that reaches F/2 (2 last >= F) takes max(F - m, F // 2), at
+    most last, with m the least nonzero member of mask.  A half range
+    takes L when (L, last] holds five positions or more, and last
+    otherwise: with fewer at the root, the tails are too short to pay
+    for their masks.
     """
+    if 2 * last >= frobenius:
+        nonzero = mask & ~1
+        least = (nonzero & -nonzero).bit_length() - 1 if nonzero else frobenius + 1
+        return min(max(frobenius - least, frobenius // 2), last)
     # Cheap tests first, so that small queries do not pay for L: (L, last]
     # holds at most last - F // 3 positions, and at most m / 2, so five
     # need no member in 1..9 (the bits of 0x3FE).
-    if 2 * last < frobenius and last - frobenius // 3 >= 5 and not mask & 0x3FE:
+    if last - frobenius // 3 >= 5 and not mask & 0x3FE:
         floor = _tail_floor(mask, frobenius, avoid)
         return floor if last - floor >= 5 else last
     return last
@@ -159,159 +170,85 @@ def _search(mask: int, frobenius: int, last: int, avoid: int):
     whose bits lie in [1, F].  Positions 1, ..., last are decided in
     ascending order, gap before member, so the leaves are distinct on
     [1, last] and come out in gap order by construction.  Adding k closes
-    M by shift-or doubling.  The member branch is taken only when the
-    closed bitmap misses F and every bit of avoid; the gap branch always
-    is, so every path ends in a leaf.  The member branch is refused
-    before its doubling when b - k is in M for some stop value b (F or a
-    bit of avoid), since M + k then holds b; the test after the doubling
-    refuses the rest, where b - jk is in M only for some j >= 2, or M
-    itself holds b.  Only member branches are pushed: the gap branch is
-    walked in place, and since every branch pushed below it is popped
-    after it, the order is depth first, gap before member, as if both
-    were pushed.  The full range [1, F) of semigroups has its own loop,
-    _full_search.
+    M by shift-or doubling.  Only member branches are pushed: the gap
+    branch is walked in place, and since every branch pushed below it is
+    popped after it, the order is depth first, gap before member, as if
+    both were pushed.
 
-    Each stack entry carries a limit: past it, the positions are not
-    decided but streamed as free tails.  The root's limit is L when
-    _tail_pick takes the tails, and last otherwise.  A push keeps the
-    limit or raises it to (F - k) // 2, at most last, so a limit of last
-    stays last, every position is decided, in any range, and the leaves
-    are closed on [0, F].
+    Each stack entry carries R beside M: bit k of R is set iff b - k is
+    in M for some stop value b (F or a bit of avoid).  At the root R is
+    the reflection of M about F, ORed with its shifts right by F - b.
+    Adding k to M adds every y + jk, so R gains every r - jk: each
+    doubling of M by a shift left doubles R by the same shift right.  The
+    member branch holds a stop value iff bit 0 of R is set after the
+    doubling, and a position in R is a gap in every leaf below, walked
+    past like a member.  So no test before the doubling is needed, and
+    the free positions of a tail are those outside M | R, with no
+    reversal per tail.  A mask that holds a stop value, which the
+    contract above excludes, has bit 0 of R set at the root: every member
+    branch is refused, and it yields itself, its one leaf.
 
-    The tail fact: let m be the least nonzero member of M, b2 the highest
-    stop value below F, and L = max(F // 3, b2 // 2, (F - m) // 2) (see
-    _tail_floor).  A set T of positions in (L, last] has 3q > F,
-    2q > F - m and 2q > b2 for each q in T, so M joined with T gains only
-    q and 2q, q + y for y in M, and p + q for p in T: no three positions
-    of T reach F, and p + q + y passes F for every nonzero y in M.  None
-    of them is a position below last but q itself, so T fills no other
-    position.  And 2q and p + q lie strictly between b2 and F, so the
-    member branch of q is refused exactly when b - q is in M for some
-    stop value b: by the early test against the node's own M, whatever
-    else T holds.  So once the next undecided position passes L, the
-    leaves below the node are given by the subsets T of its free
-    positions, the positions of [k, last] outside M that pass that test.
-    L rises to (F - k) // 2 when a member k below m is pushed, since k
-    becomes the least member.
+    Each entry also carries a limit: past it, the positions are not
+    decided but streamed as free tails.  _tail_pick sets the root's,
+    which is at most last.  A push keeps the limit or raises it to
+    (F - k) // 2 on a half range (2 last < F) and F - k otherwise, at
+    most last, since min(m, k) is the new least member.  So a limit of
+    last stays last, and every position is decided.
 
-    The leaf of T is M | T itself, not its closure: q + y > (F + m)/2,
-    2q > 2F/3 and p + q > 2F/3 all pass F/2, so the closure adds nothing
-    on [0, F/2], and a leaf here is exact there.  Every consumer reads a
+    The tail facts, with m the least nonzero member of M.  On a half
+    range, let b2 be the highest stop value below F and L = max(F // 3,
+    b2 // 2, (F - m) // 2) (see _tail_floor).  A set T of positions in
+    (L, last] has 3q > F, 2q > F - m and 2q > b2 for each q in T, so M
+    joined with T gains only q and 2q, q + y for y in M, and p + q for p
+    in T: no three positions of T reach F, and p + q + y passes F for
+    every nonzero y in M.  None of them is a position below last but q
+    itself, so T fills no other position.  And 2q and p + q lie strictly
+    between b2 and F, so the member branch of q is refused exactly when
+    q is in R, whatever else T holds.  The leaf of T is M | T itself, not
+    its closure: q + y > (F + m)/2, 2q > 2F/3 and p + q > 2F/3 all pass
+    F/2, so a leaf is exact on [0, F/2].  Every consumer reads a
     half-range leaf below F/2 only: the mirror fill (core._halves) has
     every bit above F/2 of the closure, since t - x in the bottom would
-    put t there, and the witness test (maxavoid._witness) reads bits b - d
-    below t/2.
+    put t there, and the witness test (maxavoid._witness) reads bits
+    b - d below t/2.  On a range that reaches F/2, a position p above
+    both F/2 and F - m adds only p, since 2p and p + m pass F, and its
+    member branch is refused exactly when p is in R; so M | T is closed.
+    Either way, once the next undecided position k passes the limit, the
+    leaves below the node are M | T for the subsets T of its free
+    positions, the positions of [k, last] outside M | R.  Position k
+    itself is free.
 
-    A tail's free positions are one mask on the window [k, last]: the
-    positions outside M, less those refused by some stop value b >= k.
-    Those are the q with b - q in M, the bits of M on [b - last, b - k]
-    read in reverse, which is M << last >> b on the window, bit i for
-    q = last - i, on either side of last.  They are ORed over the stop
-    values and reversed once, by core._BIT_REVERSE for a window of at
-    most eight positions, the common case, and by a reversed binary
-    string past that; the string alone is slower on narrow windows.
-
-    The node streams its leaves in gap order, as _full_search streams
-    its tails: zero or one free position inline, else the list of the
-    highest eight positions, grown from the highest down by h | bit, then
-    each subset of the lower positions in turn and lazily, joined with
-    that list.  The expander is _full_search's, inlined in both loops,
-    since a generator shared by the two costs one call per tail.
+    The node streams its leaves in gap order: that decides the lowest
+    position first, without it before with it.  Position k alone, the
+    most common tail, is two leaves inline.  Else the highest eight
+    positions make one list of at most 256 leaves, grown from the highest
+    position down, its copy with the position following it; each subset
+    of the lower positions, in turn and lazily, is joined with that list.
+    So a tail costs the list and O(F) of memory, whatever its length.
     """
     full = (2 << frobenius) - 1
-    stop = 1 << frobenius | avoid
-    limit = _tail_pick(mask, frobenius, last, avoid)
-    stops = tuple(_bit_positions(stop)) if limit < last else ()  # read by the tails only
-    stack = [(mask, 1, limit)]
+    size = frobenius // 8 + 1
+    reflected = int.from_bytes(mask.to_bytes(size, "little").translate(_BIT_REVERSE), "big")
+    reflected >>= 8 * size - 1 - frobenius  # bit k set iff F - k is in M
+    refused, below = reflected, avoid & ~(1 << frobenius)
+    while below:
+        b = below.bit_length() - 1
+        refused |= reflected >> (frobenius - b)
+        below ^= 1 << b
+    limit = last if refused & 1 else _tail_pick(mask, frobenius, last, avoid)
+    shift = 1 if 2 * last < frobenius else 0
+    stack = [(mask, refused, 1, limit)]
     while stack:
-        mask, k, limit = stack.pop()
+        mask, refused, k, limit = stack.pop()
         while True:
-            free = ~mask >> k  # the least position >= k outside M
+            free = ~(mask | refused) >> k  # the least position >= k outside M and R
             k += (free & -free).bit_length() - 1
             if k > limit:
                 if k > last:
                     yield mask
                     break
-                width, shifted, refused = last - k + 1, mask << last, 0
-                window = (1 << width) - 1
-                for b in stops:  # bit i is set iff b - (last - i) is in M
-                    if b >= k:
-                        refused |= shifted >> b
-                if width <= 8:
-                    refused = _BIT_REVERSE[refused & window] >> (8 - width)
-                else:
-                    refused = int(f"{refused & window:0{width}b}"[::-1], 2)
-                free = (~(mask >> k | refused) & window) << k
-                if not free & (free - 1):  # no free position, or one: the most common tails
-                    yield mask
-                    if free:
-                        yield mask | free
-                    break
-                high = [mask]
-                while free and len(high) < 256:
-                    bit = 1 << (free.bit_length() - 1)
-                    free ^= bit
-                    high += [h | bit for h in high]
-                yield from high
-                if free:  # the lower positions, as in _full_search
-                    lows = product(*[(0, 1 << p) for p in _bit_positions(free)])
-                    next(lows)  # the empty subset: high itself
-                    for low in lows:
-                        base = sum(low)
-                        yield from [base | h for h in high]
-                break
-            if not stop >> k & mask:  # else b - k is in M for some b, and M + k holds b
-                # core._add_generator(mask, k, frobenius), inlined.
-                member, step = mask, k
-                while step <= frobenius:
-                    member |= (member << step) & full
-                    step *= 2
-                if not member & stop:
-                    raised = (frobenius - k) // 2  # min(m, k) is the new least member
-                    stack.append((member, k + 1, limit if limit >= raised else min(raised, last)))
-            k += 1
-
-
-def _full_search(mask: int, frobenius: int):
-    """The leaves of _search(mask, F, F - 1, 0), with the decisions whose outcome is known skipped.
-
-    mask must be closed under addition on [0, F] and miss F.  Beside M,
-    the loop carries G = {k : F - k in M}, the reflection of M about F
-    (the x <-> F - x symmetry of irreducibles, Rosales and
-    Garcia-Sanchez, ch. 4).  Adding k to M adds every k + y, so G gains
-    every y - k: each doubling of M by a shift left doubles G by the same
-    shift right.  The member branch holds F iff bit 0 of G is set after
-    the doubling, and a position in G is a forced gap, walked past like a
-    member.
-
-    The tail fact: with m the least nonzero member of M, a free position p
-    above both F/2 and F - m adds only p, since 2p and p + m pass F.  So
-    past limit = max(F - m, F // 2), kept on each stack entry and raised
-    when a member below m is pushed, the leaves of a node are M joined
-    with every subset of its free positions, which miss G.  The node
-    streams them in gap order: that decides the lowest position first,
-    without it before with it.  The highest eight positions make one list
-    of at most 256 leaves, grown from the highest position down, its copy
-    with the position following it; each subset of the lower positions,
-    in turn and lazily, is joined with that list.  So a tail costs the
-    list and O(F) of memory, whatever its length.
-    """
-    full = (2 << frobenius) - 1
-    grown = int(f"{mask:0{frobenius + 1}b}"[::-1], 2)  # bit k set iff F - k is in M
-    nonzero = mask & ~1
-    least = (nonzero & -nonzero).bit_length() - 1 if nonzero else frobenius + 1
-    stack = [(mask, grown, 1, max(frobenius - least, frobenius // 2))]
-    while stack:
-        mask, grown, k, limit = stack.pop()
-        while True:
-            free = ~(mask | grown) >> k  # the least position >= k outside M and G
-            k += (free & -free).bit_length() - 1
-            if k > limit:
-                if k >= frobenius:
-                    yield mask
-                    break
-                free = ~(mask | grown) & ((1 << frobenius) - (1 << k))
-                if not free & (free - 1):  # one free position, the most common tail
+                free = ~(mask | refused) & ((2 << last) - (1 << k))
+                if not free & (free - 1):  # position k alone
                     yield mask
                     yield mask | free
                     break
@@ -328,14 +265,15 @@ def _full_search(mask: int, frobenius: int):
                         base = sum(low)
                         yield from [base | h for h in high]
                 break
-            member, reach, step = mask, grown, k
+            # core._add_generator(mask, k, frobenius), inlined, with R doubled alongside.
+            member, reach, step = mask, refused, k
             while step <= frobenius:
                 member |= (member << step) & full
                 reach |= reach >> step
                 step *= 2
             if not reach & 1:
-                raised = frobenius - k  # min(m, k) is the new least member
-                stack.append((member, reach, k + 1, limit if limit >= raised else raised))
+                raised = (frobenius - k) >> shift  # min(m, k) is the new least member
+                stack.append((member, reach, k + 1, limit if limit >= raised else min(raised, last)))
             k += 1
 
 

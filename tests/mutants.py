@@ -47,22 +47,22 @@ IRR, MAX, CORE, CLI = (f"src/numsem/{name}.py" for name in ("irreducible", "maxa
 ACCEPT, T_CLI, T_CORE, T_MAX, T_IRR = (
     f"tests/test_{name}.py" for name in ("acceptance", "cli", "core", "maxavoid", "irreducible"))
 SEARCH = "_batches(_search(monoid.member_mask(), t, (t - 1) // 2, avoid))"
-# The lower subsets of a tail, after the comment that tells the two loops apart.
-LOWS = "\n                    lows = product(*[(0, 1 << p) for p in _bit_positions(free)])\n                    next(lows)"
-FULL_LOWS, TAIL_LOWS = (f"# the lower positions, {note}{LOWS}"
-                        for note in ("lowest first, each without it before with it", "as in _full_search"))
+# The lower subsets of a tail past eight positions, and the two leaves of a one-position
+# tail: each is mutated twice, once for each range's killing test.
+LOWS = "lows = product(*[(0, 1 << p) for p in _bit_positions(free)])\n                    next(lows)"
+ONE = "yield mask\n                    yield mask | free"
 TAILS = f"{T_IRR}::TestSearchOrder::test_the_half_range_tails"
 PICK = f"{T_IRR}::TestSearchOrder::test_the_half_range_pick"
 
 MUTANTS = (
-    Mutant(IRR, "if not member & stop:", "if not member & stop and k != 2:",
+    Mutant(IRR, "if not reach & 1:", "if not reach & 1 and k != 2:",
            "_search refuses every member branch at position 2",
            (f"{ACCEPT}::test_criterion_1_irreducibles_golden",)),
-    Mutant(IRR, FULL_LOWS, f"{FULL_LOWS}, next(lows)",
-           "_full_search skips the first lower subset of a long free tail",
+    Mutant(IRR, LOWS, f"{LOWS}, next(lows)",
+           "_search skips the first nonempty lower subset of a long full-range tail",
            (f"{ACCEPT}::TestGenusTree::test_frobenius_slices_match_the_enumerations",)),
-    Mutant(IRR, "yield mask\n                    yield mask | free", "yield mask",
-           "_full_search drops the second leaf of a one-position tail",
+    Mutant(IRR, ONE, "yield mask",
+           "_search drops the second leaf of each one-position full-range tail",
            (f"{ACCEPT}::test_criterion_2_semigroups_golden",)),
     Mutant(MAX, "return candidates.without(failed) if failed else candidates", "return candidates",
            "_witness keeps the candidates that fail the witness test",
@@ -109,7 +109,7 @@ MUTANTS = (
     Mutant(CLI, "assert frob < 255, frob", "pass",
            "_render adds counts that carry out of their byte",
            (f"{T_CLI}::TestFullWidthRenderer::test_render_asserts_f_below_255",)),
-    Mutant(IRR, TAIL_LOWS, f"{TAIL_LOWS}, next(lows)",
+    Mutant(IRR, LOWS, f"{LOWS}, next(lows)",
            "_search skips the first nonempty lower subset of a tail past eight positions",
            (f"{TAILS}[required0-71]",)),
     Mutant(IRR, "below // 2, ", "",
@@ -124,19 +124,19 @@ MUTANTS = (
     Mutant(IRR, "not mask & 0x3FE", "not mask & 0xFFE",
            "_tail_pick's cheap test also rules the tails out when the least member is 10 or 11",
            (f"{PICK}[required12-forbidden12-5]",)),
-    Mutant(IRR, "if free:\n                        yield mask | free",
-           "if False:\n                        yield mask | free",
-           "_search drops the second leaf of each one-position tail, and with it a class of semigroups",
+    Mutant(IRR, ONE, "yield mask",
+           "_search drops the second leaf of each one-position half-range tail, and with it a class of"
+           " semigroups",
            (f"{ACCEPT}::TestClassCount::test_equals_the_enumeration_with_free_tails",)),
-    Mutant(IRR, "for b in stops:", "for b in stops[:-1]:",
-           "_search leaves F out of a tail's refusals, so a tail streams q with F - q in M",
+    Mutant(IRR, "refused |= reflected >> (frobenius - b)", "pass",
+           "_search leaves the forbidden values below F out of the root's R",
+           (f"{TAILS}_below_a_second_forbidden_value[forbidden0]",)),
+    Mutant(IRR, "reach |= reach >> step", "pass",
+           "_search keeps R as it was when it pushes a member, so a tail streams q with b - q in M",
            (f"{TAILS}[required0-71]",)),
-    Mutant(IRR, ">> (8 - width)", ">> (7 - width)",
-           "_search reverses a narrow tail's refusals one position off",
-           (f"{TAILS}[required0-71]",)),
-    Mutant(IRR, '{width}b}"[::-1], 2)', '{width}b}", 2)',
-           "_search leaves a tail's refusals unreversed past eight positions",
-           (f"{TAILS}[required0-71]",)),
+    Mutant(IRR, "limit = last if refused & 1 else _tail_pick(", "limit = (",
+           "_search gives tails to a root that holds a stop value",
+           (f"{T_IRR}::TestSearchOrder::test_same_leaves_in_the_same_order",)),
     Mutant(CLI, "low = (frobenius + 2) // 2", "low = 0",
            "_genus_table holds text for a genus no semigroup with that F has",
            (f"{T_CLI}::TestRenderTables::test_render_refuses_a_genus_no_semigroup_has",)),

@@ -16,7 +16,6 @@ from numsem.core import (
     gap_key,
 )
 from numsem.irreducible import (
-    _full_search,
     _search,
     _tail_floor,
     _tail_pick,
@@ -90,7 +89,7 @@ class TestSearchOrder:
                     assert_search_leaves(args)
                     if last == frob - 1 and not avoid:
                         reference = list(two_push_search(*args))
-                        assert list(_full_search(monoid.member_mask(), frob)) == reference, args
+                        assert list(_search(monoid.member_mask(), frob, frob - 1, 0)) == reference, args
                     checked += 1
         assert checked > 100
 
@@ -154,16 +153,18 @@ class TestSearchOrder:
         """The root's limit is L when (L, last] holds at least five positions, else last.
 
         A least member of 10 or more passes the cheap test, and 9 or less
-        leaves at most four positions.  A range that reaches F/2 has no
-        free tails.
+        leaves at most four positions.  A range that reaches F/2 takes
+        max(t - m, t // 2), at most the range's last position, with m the
+        least member of A, or t + 1 for A = {}.
         """
         t, avoid = forbidden[-1], sum(1 << b for b in forbidden)
         mask, last = Submonoid(required, t).member_mask(), (t - 1) // 2
         floor = _tail_floor(mask, t, avoid)
         assert last - floor == positions
         assert _tail_pick(mask, t, last, avoid) == (floor if positions >= 5 else last)
+        least = min((*required, t + 1))
         for high in {(t + 1) // 2, t - 1}:
-            assert _tail_pick(mask, t, high, avoid) == high
+            assert _tail_pick(mask, t, high, avoid) == min(max(t - least, t // 2), high)
 
     def test_the_tails_of_a_large_full_range(self):
         """A = {} at F = 31: most leaves lie in the free tails past F/2.
@@ -171,7 +172,7 @@ class TestSearchOrder:
         The first tail has 15 free positions, so its lower seven come as
         lazy subsets joined with the list of the top eight.
         """
-        leaves = list(_full_search(1, 31))
+        leaves = list(_search(1, 31, 30, 0))
         assert len(leaves) == 70_854
         assert leaves == list(two_push_search(1, 31, 30))
 
@@ -184,7 +185,7 @@ class TestSearchOrder:
         reference = list(islice(two_push_search(1, 60, 59), 256))
         tracemalloc.start()
         try:
-            leaves = list(islice(_full_search(1, 60), 256))
+            leaves = list(islice(_search(1, 60, 59, 0), 256))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
